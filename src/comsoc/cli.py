@@ -36,7 +36,13 @@ from .fileio import (
     write_election,
 )
 from .generators import GeneratorSpec, generate
-from .kemeny import avg_pairwise_distance, kemeny_brute_force, kemeny_dp
+from .kemeny import (
+    BRUTE_FORCE_MAX_M,
+    DP_MAX_M,
+    avg_pairwise_distance,
+    kemeny_brute_force,
+    kemeny_dp,
+)
 from .schemas import SCHEMAS, validate_json
 from .structure import (
     find_single_peaked_axis,
@@ -117,9 +123,9 @@ def _cmd_kemeny(args):
         return OK
     e = _read_election(args)
     if args.method == "brute-force":
-        result = kemeny_brute_force(e, max_m=args.limit_m or 8)
+        result = kemeny_brute_force(e, max_m=args.limit_m or BRUTE_FORCE_MAX_M)
     else:
-        result = kemeny_dp(e, max_m=args.limit_m or 24)
+        result = kemeny_dp(e, max_m=args.limit_m or DP_MAX_M)
     payload = {
         "score": result.score,
         "ranking": list(result.ranking.ranking),

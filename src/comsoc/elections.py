@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from bisect import bisect
 from dataclasses import dataclass
-from itertools import combinations
 
 
 class PreferenceOrder:
@@ -289,8 +288,3 @@ def sum_kendall_tau(e: Election, order) -> int:
     if not isinstance(order, PreferenceOrder):
         order = PreferenceOrder(order)
     return sum(kendall_tau(order, v) for v in e.voters)
-
-
-def all_pairs(m):
-    """All unordered alternative pairs ``(a, b)`` with ``a < b``."""
-    return combinations(range(m), 2)

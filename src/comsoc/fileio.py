@@ -31,7 +31,9 @@ from fractions import Fraction
 from .cake import PiecewisePolyDensity
 from .circuits import Circuit
 from .elections import Election, PreferenceOrder
-from .errors import ParseError
+from .errors import CapacityError, ParseError
+
+PREFLIB_MAX_VOTERS = 10**6
 
 
 def _significant_lines(text):
@@ -104,6 +106,10 @@ def parse_preflib_soc(text: str) -> Election:
     Understands the hash-metadata format: ``# NUMBER ALTERNATIVES: m``,
     optional ``# ALTERNATIVE NAME i: label`` lines, and body rows
     ``count: i1, i2, ...`` with 1-based alternative ids.
+
+    Each row expands into ``count`` voters, so the counts are summed
+    first: more than ``PREFLIB_MAX_VOTERS`` voters in total raises
+    :class:`CapacityError` before anything is expanded.
     """
     m = None
     names = {}
@@ -140,6 +146,9 @@ def parse_preflib_soc(text: str) -> Election:
         if not rows:
             raise ParseError("no alternatives and no rows")
         m = len(rows[0][2])
+    total = sum(count for _, count, _ in rows)
+    if total > PREFLIB_MAX_VOTERS:
+        raise CapacityError(f"PrefLib data has {total} voters, limit {PREFLIB_MAX_VOTERS}")
     voters = []
     for lineno, count, order in rows:
         if sorted(order) != list(range(1, m + 1)):

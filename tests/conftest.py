@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import strategies as st
 
 from comsoc.elections import Election, PreferenceOrder
 
@@ -55,3 +56,16 @@ def seeded_elections(base_seed: int, count: int, max_m: int, max_n: int, min_m: 
         n = rng.randint(min_n, max_n)
         out.append((seed, random_election(rng, m, n)))
     return out
+
+
+def elections(max_m=6, max_n=7):
+    """Hypothesis strategy: impartial-culture elections with 2..max_m alternatives."""
+
+    @st.composite
+    def build(draw):
+        m = draw(st.integers(2, max_m))
+        n = draw(st.integers(1, max_n))
+        voters = [draw(st.permutations(range(m))) for _ in range(n)]
+        return Election(voters)
+
+    return build()

@@ -284,6 +284,12 @@ class TestInputVariants:
         assert payload["labels"] == ["red", "green", "blue"]
         assert payload["winners"] == [0]
 
+    def test_preflib_huge_count_gives_capacity_error(self, tmp_path, capsys):
+        soc = tmp_path / "huge.soc"
+        soc.write_text("# NUMBER ALTERNATIVES: 3\n1000000000000: 1, 2, 3\n")
+        code, out = run(capsys, "kemeny", "--in", str(soc), "--preflib")
+        assert code == 3 and out == ""
+
     def test_json_input_with_labels(self, capsys):
         import io, sys as _sys
 

@@ -16,18 +16,7 @@ from comsoc.elections import (
     scoring_winners,
 )
 
-from conftest import random_election
-
-
-def elections(max_m=6, max_n=7):
-    @st.composite
-    def build(draw):
-        m = draw(st.integers(2, max_m))
-        n = draw(st.integers(1, max_n))
-        voters = [draw(st.permutations(range(m))) for _ in range(n)]
-        return Election(voters)
-
-    return build()
+from conftest import elections, random_election
 
 
 class TestPreferenceOrder:

@@ -5,7 +5,7 @@ import pytest
 
 from comsoc.cake import PiecewisePolyDensity
 from comsoc.elections import Election
-from comsoc.errors import ParseError
+from comsoc.errors import CapacityError, ParseError
 from comsoc.fileio import (
     format_fraction,
     parse_circuit,
@@ -121,6 +121,10 @@ class TestPreflibImport:
     def test_no_rows_rejected(self):
         with pytest.raises(ParseError):
             parse_preflib_soc("# DATA TYPE: soc\n")
+
+    def test_huge_count_is_capacity_error(self):
+        with pytest.raises(CapacityError, match="voters"):
+            parse_preflib_soc("# NUMBER ALTERNATIVES: 3\n1000000000000: 1, 2, 3\n")
 
 
 class TestCircuitFormat:

@@ -1,13 +1,44 @@
 import random
-from itertools import permutations
+from array import array
+from itertools import combinations, permutations
 
 import pytest
+from hypothesis import given, settings
 
-from comsoc.elections import Election, condorcet_winner, sum_kendall_tau
+from comsoc.elections import Election, PreferenceOrder, condorcet_winner, majority_matrix, sum_kendall_tau
 from comsoc.errors import CapacityError
+from comsoc.generators import GeneratorSpec, generate
 from comsoc.kemeny import avg_pairwise_distance, kemeny_brute_force, kemeny_decision, kemeny_dp
 
-from conftest import random_election, seeded_elections
+from conftest import elections, random_election, seeded_elections
+
+
+def plain_subset_dp(e):
+    """Reference O(2^m * m^2) subset DP that sums every column directly.
+
+    ``best[S]`` is the cheapest order of ``S`` as the final |S| positions;
+    placing ``c`` first among ``S`` costs ``sum(wins[d][c] for d in S)``.
+    Reconstruction takes the smallest ``c`` attaining the optimum.
+    """
+    m = e.m
+    wins = majority_matrix(e).wins
+    full = (1 << m) - 1
+    infinity = 1 << 62
+    best = array("q", [infinity]) * (full + 1)
+    best[0] = 0
+
+    def cost(s, c):
+        return sum(wins[d][c] for d in range(m) if s >> d & 1 and d != c)
+
+    for s in range(1, full + 1):
+        best[s] = min(best[s ^ (1 << c)] + cost(s, c) for c in range(m) if s >> c & 1)
+    ranking = []
+    s = full
+    while s:
+        c = next(c for c in range(m) if s >> c & 1 and best[s ^ (1 << c)] + cost(s, c) == best[s])
+        ranking.append(c)
+        s ^= 1 << c
+    return PreferenceOrder(ranking), best[full]
 
 
 class TestBruteForce:
@@ -72,6 +103,33 @@ class TestDp:
             rng.shuffle(voters)
             e2 = Election(voters)
             assert kemeny_dp(e).score == kemeny_dp(e2).score, f"seed {seed}"
+
+    @pytest.mark.parametrize("model", ["impartial-culture", "single-peaked", "euclidean-1d"])
+    def test_matches_plain_subset_dp(self, model):
+        for seed in range(12):
+            rng = random.Random(f"{model}:{seed}")
+            m, n = 7 + seed % 6, rng.randint(3, 51)
+            e = generate(GeneratorSpec(model, m, n, seed)).election
+            result = kemeny_dp(e)
+            assert (result.ranking, result.score) == plain_subset_dp(e), f"seed {seed}"
+
+    def test_matches_plain_subset_dp_with_majority_ties(self):
+        tied = 0
+        for seed in range(54000, 54030):
+            rng = random.Random(seed)
+            e = random_election(rng, rng.randint(7, 10), rng.choice((2, 4, 6)))
+            wins = majority_matrix(e).wins
+            tied += any(wins[a][b] == wins[b][a] for a, b in combinations(range(e.m), 2))
+            result = kemeny_dp(e)
+            assert (result.ranking, result.score) == plain_subset_dp(e), f"seed {seed}"
+        assert tied > 20
+
+    @settings(max_examples=60, deadline=None)
+    @given(elections(max_m=7, max_n=8))
+    def test_matches_brute_force_property(self, e):
+        dp = kemeny_dp(e)
+        bf = kemeny_brute_force(e)
+        assert (dp.ranking, dp.score) == (bf.ranking, bf.score)
 
 
 class TestDecision:
