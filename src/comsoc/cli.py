@@ -1,8 +1,9 @@
 """Command-line surface: one subcommand per solver family, JSON on stdout.
 
-Exit codes: 0 success, 1 no solution (search subcommands only), 2 input
-error, 3 capacity error. Output is a single JSON object with sorted keys
-and compact separators, so identical invocations are byte-identical.
+Exit codes: 0 success, 1 no solution (search subcommands, and ``dodgson``
+if its swap program ever reports none), 2 input error, 3 capacity error.
+Output is a single JSON object with sorted keys and compact separators,
+so identical invocations are byte-identical.
 ``--json-schema`` on any subcommand prints its output schema instead of
 running.
 """
@@ -140,12 +141,18 @@ def _cmd_dodgson(args):
     if _maybe_schema(args):
         return OK
     e = _read_election(args)
-    if args.target is not None:
-        solution = dodgson_score(e, args.target)
-        _emit("dodgson", {"target": args.target, "score": solution.score})
-    else:
-        scores = [dodgson_score(e, c).score for c in range(e.m)]
+    targets = range(e.m) if args.target is None else [args.target]
+    scores = []
+    for c in targets:
+        solution = dodgson_score(e, c)
+        if solution is None:
+            print(f"no solution: the Dodgson program for target {c} has none", file=sys.stderr)
+            return NO_SOLUTION
+        scores.append(solution.score)
+    if args.target is None:
         _emit("dodgson", {"scores": scores})
+    else:
+        _emit("dodgson", {"target": args.target, "score": scores[0]})
     return OK
 
 

@@ -106,25 +106,15 @@ def reduce_instance(e: Election, d: int, p: int) -> Election:
     """Drop voters approving only irrelevant alternatives; answer-preserving.
 
     Such voters feed points to alternatives that already trail ``p`` and
-    deleting them can never help, so they are dead weight. Scores are
-    recomputed after each removal round until nothing changes (removed
-    voters only lower irrelevant scores, so the loop settles immediately;
-    it is kept as a loop for robustness).
+    deleting them can never help, so they are dead weight. One pass
+    suffices: removing them leaves the scores of ``p`` and of every
+    relevant alternative unchanged and only lowers irrelevant ones, so the
+    split is the same afterwards and a second pass removes nothing.
     """
-    voters = list(e.voters)
-    while len(voters) > 1:
-        sub = Election(voters, labels=e.labels)
-        split = relevance_split(sub, d, p)
-        view = approval_view(sub, d)
-        keep = [
-            v
-            for i, v in enumerate(voters)
-            if not view.approves[i] <= split.irrelevant
-        ]
-        if len(keep) == len(voters) or not keep:
-            break
-        voters = keep
-    return Election(voters, labels=e.labels)
+    split = relevance_split(e, d, p)
+    view = approval_view(e, d)
+    keep = [v for v, ap in zip(e.voters, view.approves) if not ap <= split.irrelevant]
+    return Election(keep, labels=e.labels)
 
 
 def _wins_after_deletion(e: Election, d: int, p: int, deleted, unique: bool) -> bool:

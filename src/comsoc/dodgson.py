@@ -134,6 +134,11 @@ def dodgson_score(e: Election, c) -> DodgsonSolution | None:
         lifts = tuple((t.multiplicity,) + (0,) * program.max_lift(t.index) for t in program.types)
         return DodgsonSolution(lifts, 0)
 
+    # Gains, potentials and remaining deficits are tuples indexed by
+    # position in ``active``, not dicts: they are the search's largest
+    # transient allocations.
+    slot = {y: k for k, y in enumerate(active)}
+
     # Lifts that pass only zero-deficit alternatives beyond the last useful
     # one never beat the shorter lift, so they are dropped up front.
     useful = []
@@ -147,22 +152,23 @@ def dodgson_score(e: Election, c) -> DodgsonSolution | None:
         useful.append(lifts)
         per_type = []
         for cost, counts in sorted(_allocations(t.multiplicity, lifts)):
-            gains = {y: 0 for y in active}
+            gains = [0] * len(active)
             for j, cnt in zip(lifts, counts):
                 if cnt:
                     for y in program.passed[t.index][:j]:
-                        if program.deficits[y] > 0:
-                            gains[y] += cnt
-            per_type.append((cost, counts, gains))
+                        if y in slot:
+                            gains[slot[y]] += cnt
+            per_type.append((cost, counts, tuple(gains)))
         options.append(per_type)
 
     # Suffix support potential, for infeasibility pruning.
-    potential = [{y: 0 for y in active} for _ in range(ntypes + 1)]
+    potential = [(0,) * len(active)] * (ntypes + 1)
     for i in range(ntypes - 1, -1, -1):
         t = program.types[i]
         above = set(program.passed[i])
-        for y in active:
-            potential[i][y] = potential[i + 1][y] + (t.multiplicity if y in above else 0)
+        potential[i] = tuple(
+            p + (t.multiplicity if y in above else 0) for p, y in zip(potential[i + 1], active)
+        )
 
     best_cost = None
     best_counts = None
@@ -170,10 +176,10 @@ def dodgson_score(e: Election, c) -> DodgsonSolution | None:
 
     def rec(i, cost, remaining):
         nonlocal best_cost, best_counts
-        lower = cost + sum(remaining.values())
+        lower = cost + sum(remaining)
         if best_cost is not None and lower >= best_cost:
             return
-        if not any(remaining.values()):
+        if not any(remaining):
             best_cost = cost
             best_counts = list(chosen)
             for k in range(i, ntypes):
@@ -181,8 +187,8 @@ def dodgson_score(e: Election, c) -> DodgsonSolution | None:
             return
         if i == ntypes:
             return
-        for y in active:
-            if remaining[y] > potential[i][y]:
+        for r, p in zip(remaining, potential[i]):
+            if r > p:
                 return
         for opt_cost, counts, gains in options[i]:
             if best_cost is not None and cost + opt_cost >= best_cost:
@@ -191,11 +197,11 @@ def dodgson_score(e: Election, c) -> DodgsonSolution | None:
             rec(
                 i + 1,
                 cost + opt_cost,
-                {y: max(0, remaining[y] - gains[y]) for y in active},
+                tuple([r - g if r > g else 0 for r, g in zip(remaining, gains)]),
             )
         chosen[i] = None
 
-    rec(0, 0, {y: program.deficits[y] for y in active})
+    rec(0, 0, tuple(program.deficits[y] for y in active))
     if best_cost is None:
         return None
 

@@ -1,11 +1,16 @@
 """Exact Kemeny ranking solvers.
 
 Two independent routes compute the same optimum: a factorial brute force
-over all rankings (the oracle) and a dynamic program over the 2^m
-alternative subsets with O(2^m * m) work (the subset DP of Betzler,
-Fellows, Guo, Niedermeier and Rosamond, TCS 2009). Both break ties toward
-the lexicographically smallest optimal ranking, so their results are
-bit-identical.
+over all rankings (the oracle) and a dynamic program over alternative
+subsets (the subset DP of Betzler, Fellows, Guo, Niedermeier and
+Rosamond, TCS 2009). The DP first splits the alternatives into the
+strongly connected components of the weak-majority digraph, whose order
+every optimal ranking respects, and runs on each component alone:
+O(2^k * k) work for the largest component k plus O(m^2) bitmask
+operations for the split, so structured profiles that split into small
+components stay cheap at any m up to the capacity limit. Both routes
+break ties toward the lexicographically smallest optimal ranking, so
+their results are bit-identical.
 
 The average voter disagreement ``d_a`` (ceiling of the mean pairwise
 Kendall tau distance between voters) is computed and reported as a
@@ -54,38 +59,70 @@ def kemeny_brute_force(e: Election, max_m: int = BRUTE_FORCE_MAX_M) -> KemenyRes
 
 
 def kemeny_dp(e: Election, max_m: int = DP_MAX_M) -> KemenyResult:
-    """Minimum-score ranking via dynamic programming over subsets.
+    """Minimum-score ranking via dynamic programming over subsets, one
+    majority component at a time.
 
-    ``best[S]`` is the cheapest way to order the alternatives of ``S`` as
-    the final |S| positions. Placing ``c`` first among ``S`` costs the
-    column sum of ``wins[d][c]`` over ``d`` in ``S``: one disagreement per
-    voter who prefers a later-placed ``d`` over ``c``. Each alternative has
-    two half-mask tables of that sum, over the low ``h = m // 2``
-    alternatives and over the rest, so the cost is
-    ``lo[S & low] + hi[S >> h]`` and each subset takes O(|S|) work, O(2^m * m)
-    in all. Reconstruction uses the same lookups and picks the smallest
-    ``c`` achieving the optimum at every step, which yields the
-    lexicographically smallest optimal ranking.
+    In the weak-majority digraph ``c`` reaches ``d`` unless ``d`` strictly
+    beats ``c``. Its strongly connected components form a chain in which
+    every member of an earlier component strictly beats every member of a
+    later one, so every optimal ranking lists the components in chain
+    order. Warshall's closure gives each alternative a reach mask; members
+    of a component share one, and a component's mask contains those of all
+    later ones, so sorting the masks in descending order gives the chain.
+    Components of two or more alternatives are ordered by
+    ``_order_component``; the score is recounted over the concatenation.
+    Cost: O(2^k * k) for the largest component ``k``, plus O(m^2) bitmask
+    operations for the closure. The capacity limit still applies to m.
     """
     m = e.m
     if m > max_m:
         raise CapacityError(f"subset DP limited to m <= {max_m}, got m={m}")
     wins = majority_matrix(e).wins
-    h = m // 2
+    reach = [sum(1 << d for d in range(m) if wins[d][c] <= wins[c][d]) for c in range(m)]
+    for k in range(m):
+        for c in range(m):
+            if reach[c] >> k & 1:
+                reach[c] |= reach[k]
+    components = {}
+    for c in range(m):
+        components.setdefault(reach[c], []).append(c)
+    ranking = []
+    for mask in sorted(components, reverse=True):
+        members = components[mask]
+        ranking += members if len(members) == 1 else _order_component(wins, members)
+    score = sum(wins[d][c] for i, c in enumerate(ranking) for d in ranking[i + 1 :])
+    return KemenyResult(PreferenceOrder(ranking), score)
+
+
+def _order_component(wins, members):
+    """Lexicographically smallest optimal order of ``members`` (ascending ids).
+
+    ``best[S]`` is the cheapest way to order the members in ``S`` as the
+    final |S| positions. Placing ``c`` first among ``S`` costs the column
+    sum of ``wins[d][c]`` over ``d`` in ``S``: one disagreement per voter
+    who prefers a later-placed ``d`` over ``c``. Each member has two
+    half-mask tables of that sum, over the low ``h = k // 2`` members and
+    over the rest, so the cost is ``lo[S & low] + hi[S >> h]`` and each
+    subset takes O(|S|) work, O(2^k * k) in all. Reconstruction uses the
+    same lookups and picks the smallest ``c`` achieving the optimum at
+    every step, which yields the lexicographically smallest optimal order.
+    """
+    k = len(members)
+    h = k // 2
     low = (1 << h) - 1
     items = [
         (
-            1 << c,
-            _subset_table([wins[d][c] for d in range(h)], 0),
-            _subset_table([wins[d][c] for d in range(h, m)], 0),
+            1 << i,
+            _subset_table([wins[d][c] for d in members[:h]], 0),
+            _subset_table([wins[d][c] for d in members[h:]], 0),
         )
-        for c in range(m)
+        for i, c in enumerate(members)
     ]
     low_members = _subset_table([(item,) for item in items[:h]], ())
     high_members = _subset_table([(item,) for item in items[h:]], ())
 
     infinity = 1 << 62
-    best = array("q", [0]) * (1 << m)
+    best = array("q", [0]) * (1 << k)
     for hs, high in enumerate(high_members):
         base = hs << h
         for ls, lows in enumerate(low_members):
@@ -99,17 +136,16 @@ def kemeny_dp(e: Election, max_m: int = DP_MAX_M) -> KemenyResult:
             if s:
                 best[s] = b
 
-    full = (1 << m) - 1
-    ranking = []
-    s = full
+    order = []
+    s = (1 << k) - 1
     while s:
         ls, hs = s & low, s >> h
-        for c, (bit, lo, hi) in enumerate(items):
+        for c, (bit, lo, hi) in zip(members, items):
             if s & bit and best[s ^ bit] + lo[ls] + hi[hs] == best[s]:
-                ranking.append(c)
+                order.append(c)
                 s ^= bit
                 break
-    return KemenyResult(PreferenceOrder(ranking), int(best[full]))
+    return order
 
 
 def _subset_table(items, zero):

@@ -94,6 +94,15 @@ class TestDodgson:
         code, payload = run_json(capsys, "dodgson", "--in", E4X3)
         assert payload["scores"] == [0, 1, 2, 5]
 
+    @pytest.mark.parametrize("target", [[], ["--target", "2"]])
+    def test_no_solution_is_exit_code_not_traceback(self, capsys, monkeypatch, target):
+        monkeypatch.setattr("comsoc.cli.dodgson_score", lambda e, c: None)
+        code = main(["dodgson", "--in", E4X3, *target])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith("no solution:") and captured.err.count("\n") == 1
+
 
 class TestCcdv:
     def test_yes_instance(self, capsys):

@@ -124,6 +124,31 @@ class TestDp:
             assert (result.ranking, result.score) == plain_subset_dp(e), f"seed {seed}"
         assert tied > 20
 
+    def test_tied_pairs_chain_one_component_beside_singletons(self):
+        # 4~1 and 1~3 tie, 4 beats 3 strictly: one component {1, 3, 4};
+        # 2 tops every voter and 5, 0 close every voter.
+        middles = [(4, 1, 3), (4, 3, 1), (1, 4, 3), (3, 1, 4)]
+        e = Election([(2, *mid, 5, 0) for mid in middles])
+        wins = majority_matrix(e).wins
+        assert wins[4][1] == wins[1][4] and wins[1][3] == wins[3][1]
+        assert wins[4][3] > wins[3][4]
+        result = kemeny_dp(e)
+        assert (result.ranking, result.score) == plain_subset_dp(e)
+        assert result.ranking.ranking[0] == 2 and result.ranking.ranking[4:] == (5, 0)
+
+    @pytest.mark.parametrize("model", ["single-peaked", "euclidean-1d"])
+    def test_structured_profile_at_capacity_limit(self, model):
+        # Odd n single-peaked profiles have a transitive strict majority, so
+        # every component is a singleton and the DP never runs.
+        m = 24
+        e = generate(GeneratorSpec(model, m, 51, 7)).election
+        wins = majority_matrix(e).wins
+        majority_order = sorted(range(m), key=lambda a: -sum(wins[a][b] > wins[b][a] for b in range(m)))
+        assert all(wins[a][b] > wins[b][a] for a, b in combinations(majority_order, 2))
+        result = kemeny_dp(e)
+        assert result.ranking.ranking == tuple(majority_order)
+        assert result.score == sum(min(wins[a][b], wins[b][a]) for a, b in combinations(range(m), 2))
+
     @settings(max_examples=60, deadline=None)
     @given(elections(max_m=7, max_n=8))
     def test_matches_brute_force_property(self, e):
