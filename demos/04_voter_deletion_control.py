@@ -25,7 +25,7 @@ print("approval scores:", list(view.scores))
 
 split = relevance_split(e, d=2, p=0)
 print("irrelevant:", sorted(split.irrelevant), "relevant:", sorted(split.relevant))
-print("classes over V_R:", {tuple(sorted(k[0])): v for k, v in split.classes.items()})
+print("classes over V_R:", {tuple(sorted(k)): v for k, v in split.classes.items()})
 
 inst = ControlInstance(e, d=2, p=0, k=1)
 witness = ccdv_fpt(inst)

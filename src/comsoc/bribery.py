@@ -20,7 +20,9 @@ alternative a winner (co-winner by default, strict under ``unique``), or
 orders and the resulting election so they can be re-validated.
 
 Everything is enumeration plus branch and bound, sized for desk scale;
-capacity limits are explicit.
+capacity limits are explicit. Swap and shift share one branch and bound
+(:func:`_cheapest_choice`): each voter gets a cost-sorted list of options,
+and a depth-first search picks one option per voter.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations, permutations
 
-from .elections import Election, PreferenceOrder, ScoringVector
+from .elections import Election, PreferenceOrder, ScoringVector, _tally, _wins
 from .errors import CapacityError
 
 SWAP_MAX_M = 6
@@ -95,6 +97,8 @@ class ShiftPriceFunction:
 
     @classmethod
     def linear(cls, e: Election, p, slope=1):
+        if not 0 <= p < e.m:
+            raise ValueError(f"preferred alternative {p} is not an id for m={e.m}")
         return cls([tuple(slope * t for t in range(v.rank_of(p))) for v in e.voters])
 
     def check_against(self, e: Election, p):
@@ -203,19 +207,13 @@ def min_cost_to_target(order, target, prices):
     return cost
 
 
-def _tally(orders, alpha, m):
-    scores = [0] * m
-    for order in orders:
-        for pos, alt in enumerate(order):
-            scores[alt] += alpha[pos]
-    return scores
-
-
-def _p_wins(scores, p, unique):
-    best = max(scores)
-    if scores[p] < best:
-        return False
-    return not unique or scores.count(best) == 1
+def _check_instance(e, rule, p, budget):
+    if len(rule) != e.m:
+        raise ValueError("scoring vector length mismatch")
+    if not 0 <= p < e.m:
+        raise ValueError(f"preferred alternative {p} is not an id for m={e.m}")
+    if budget < 0:
+        raise ValueError("budget must be nonnegative")
 
 
 def _finish_plan(e, rule, p, flavor, actions, cost, unique):
@@ -224,8 +222,43 @@ def _finish_plan(e, rule, p, flavor, actions, cost, unique):
         orders[action.voter] = action.new_order.ranking
     result = Election([PreferenceOrder(o) for o in orders], labels=e.labels)
     scores = _tally(orders, rule.alpha, e.m)
-    assert _p_wins(scores, p, unique)
+    assert _wins(scores, p, unique)
     return BriberyPlan(flavor, tuple(actions), cost, result)
+
+
+def _cheapest_choice(options, m, p, unique, budget):
+    """Cheapest choice of one option per voter that makes ``p`` win.
+
+    ``options[v]`` lists voter ``v``'s ``(cost, key, column)`` options in
+    nondecreasing cost order, ``column`` being the points the option gives
+    each alternative. The depth-first search stops a voter's loop at the
+    first option over the budget or not cheaper than the incumbent; only a
+    strictly cheaper choice replaces the incumbent, so ties go to the first
+    in search order. Returns ``(cost, keys)`` or None.
+    """
+    n = len(options)
+    best_cost = None
+    best_keys = None
+    keys = [None] * n
+
+    def rec(vi, cost, scores):
+        nonlocal best_cost, best_keys
+        if best_cost is not None and cost >= best_cost:
+            return
+        if vi == n:
+            if _wins(scores, p, unique):
+                best_cost = cost
+                best_keys = list(keys)
+            return
+        for extra, key, column in options[vi]:
+            total = cost + extra
+            if total > budget or (best_cost is not None and total >= best_cost):
+                break
+            keys[vi] = key
+            rec(vi + 1, total, [s + c for s, c in zip(scores, column)])
+
+    rec(0, 0, [0] * m)
+    return None if best_cost is None else (best_cost, best_keys)
 
 
 def swap_bribery(
@@ -246,56 +279,26 @@ def swap_bribery(
     """
     if e.m > max_m:
         raise CapacityError(f"swap bribery limited to m <= {max_m}, got {e.m}")
+    _check_instance(e, rule, p, budget)
     prices.check_complete(e.m)
     alpha = rule.alpha
-    if len(rule) != e.m:
-        raise ValueError("scoring vector length mismatch")
     base = _tally([v.ranking for v in e.voters], alpha, e.m)
-    if _p_wins(base, p, unique):
+    if _wins(base, p, unique):
         return _finish_plan(e, rule, p, "swap", [], 0, unique)
 
     all_orders = list(permutations(range(e.m)))
-    columns = {}
-    for order in all_orders:
-        col = [0] * e.m
-        for pos, alt in enumerate(order):
-            col[alt] = alpha[pos]
-        columns[order] = tuple(col)
-    tables = []
+    columns = {order: tuple(_tally([order], alpha, e.m)) for order in all_orders}
+    options = []
     for vi, voter in enumerate(e.voters):
         table = sorted(
             (min_cost_to_target(voter, PreferenceOrder(t), prices.voter_table(vi)), t)
             for t in all_orders
         )
-        tables.append(table)
-
-    best_cost = None
-    best_choice = None
-    n = e.n
-    choice = [None] * n
-
-    def rec(vi, cost, scores):
-        nonlocal best_cost, best_choice
-        if best_cost is not None and cost >= best_cost:
-            return
-        if vi == n:
-            if _p_wins(scores, p, unique):
-                best_cost = cost
-                best_choice = list(choice)
-            return
-        for extra, target in tables[vi]:
-            total = cost + extra
-            if total > budget:
-                break
-            if best_cost is not None and total >= best_cost:
-                break
-            choice[vi] = target
-            rec(vi + 1, total, [s + c for s, c in zip(scores, columns[target])])
-        choice[vi] = None
-
-    rec(0, 0, [0] * e.m)
-    if best_cost is None:
+        options.append([(cost, t, columns[t]) for cost, t in table])
+    found = _cheapest_choice(options, e.m, p, unique, budget)
+    if found is None:
         return None
+    best_cost, best_choice = found
     actions = []
     for vi, target in enumerate(best_choice):
         if target != e.voters[vi].ranking:
@@ -331,51 +334,22 @@ def shift_bribery(
     """Minimum-cost shift bribery plan within ``budget``, or None.
 
     Exhaustive search over per-voter shift amounts with cost-based
-    pruning; tariffs are nondecreasing, so per-voter options are explored
-    in increasing cost order.
+    pruning; tariffs are nondecreasing, so shift amounts in increasing
+    order are options in nondecreasing cost order.
     """
-    if len(rule) != e.m:
-        raise ValueError("scoring vector length mismatch")
+    _check_instance(e, rule, p, budget)
     shift_prices.check_against(e, p)
-    alpha = rule.alpha
     options = []
     for vi, voter in enumerate(e.voters):
         per_voter = []
         for t in range(voter.rank_of(p)):
-            order = _shifted(voter, p, t)
-            col = [0] * e.m
-            for pos, alt in enumerate(order.ranking):
-                col[alt] = alpha[pos]
-            per_voter.append((shift_prices.cost(vi, t), t, tuple(col)))
+            column = tuple(_tally([_shifted(voter, p, t).ranking], rule.alpha, e.m))
+            per_voter.append((shift_prices.cost(vi, t), t, column))
         options.append(per_voter)
-
-    best_cost = None
-    best_shifts = None
-    n = e.n
-    shifts = [0] * n
-
-    def rec(vi, cost, scores):
-        nonlocal best_cost, best_shifts
-        if best_cost is not None and cost >= best_cost:
-            return
-        if vi == n:
-            if _p_wins(scores, p, unique):
-                best_cost = cost
-                best_shifts = list(shifts)
-            return
-        for extra, t, col in options[vi]:
-            total = cost + extra
-            if total > budget:
-                continue
-            if best_cost is not None and total >= best_cost:
-                continue
-            shifts[vi] = t
-            rec(vi + 1, total, [s + c for s, c in zip(scores, col)])
-        shifts[vi] = 0
-
-    rec(0, 0, [0] * e.m)
-    if best_cost is None:
+    found = _cheapest_choice(options, e.m, p, unique, budget)
+    if found is None:
         return None
+    best_cost, best_shifts = found
     actions = []
     for vi, t in enumerate(best_shifts):
         if t:
@@ -446,8 +420,7 @@ def unit_or_priced_bribery(
         raise CapacityError(f"rewrite bribery limited to m <= {max_m}, got {e.m}")
     if e.n > max_n:
         raise CapacityError(f"rewrite bribery limited to n <= {max_n}, got {e.n}")
-    if len(rule) != e.m:
-        raise ValueError("scoring vector length mismatch")
+    _check_instance(e, rule, p, budget.limit)
     alpha = rule.alpha
     flavor = "unit" if budget.prices is None else "priced"
 

@@ -59,9 +59,13 @@ INPUT_ERROR = 2
 CAPACITY_ERROR = 3
 
 
+def _write_json(obj):
+    sys.stdout.write(json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n")
+
+
 def _emit(subcommand, payload):
     validate_json(payload, SCHEMAS[subcommand])
-    sys.stdout.write(json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n")
+    _write_json(payload)
 
 
 def _read_text(path):
@@ -91,18 +95,7 @@ def _rule(args, m) -> ScoringVector:
     return ScoringVector.d_approval(m, args.d)
 
 
-def _maybe_schema(args):
-    if args.json_schema:
-        sys.stdout.write(
-            json.dumps(SCHEMAS[args.command], sort_keys=True, separators=(",", ":")) + "\n"
-        )
-        return True
-    return False
-
-
 def _cmd_winners(args):
-    if _maybe_schema(args):
-        return OK
     e = _read_election(args)
     result = scoring_winners(e, _rule(args, e.m))
     payload = {
@@ -120,8 +113,6 @@ def _cmd_winners(args):
 
 
 def _cmd_kemeny(args):
-    if _maybe_schema(args):
-        return OK
     e = _read_election(args)
     if args.method == "brute-force":
         result = kemeny_brute_force(e, max_m=args.limit_m or BRUTE_FORCE_MAX_M)
@@ -138,8 +129,6 @@ def _cmd_kemeny(args):
 
 
 def _cmd_dodgson(args):
-    if _maybe_schema(args):
-        return OK
     e = _read_election(args)
     targets = range(e.m) if args.target is None else [args.target]
     scores = []
@@ -157,8 +146,6 @@ def _cmd_dodgson(args):
 
 
 def _cmd_ccdv(args):
-    if _maybe_schema(args):
-        return OK
     e = _read_election(args)
     instance = ControlInstance(e, args.d, args.target, args.k)
     witness = ccdv_fpt(instance, unique=args.unique_winner)
@@ -174,8 +161,6 @@ def _cmd_ccdv(args):
 
 
 def _cmd_bribe(args):
-    if _maybe_schema(args):
-        return OK
     e = _read_election(args)
     rule = _rule(args, e.m)
     prices = json.loads(_read_text(args.prices)) if args.prices else {}
@@ -215,8 +200,6 @@ def _cmd_bribe(args):
 
 
 def _cmd_structure(args):
-    if _maybe_schema(args):
-        return OK
     e = _read_election(args)
     if args.check == "sp":
         if args.axis:
@@ -249,8 +232,6 @@ def _cmd_structure(args):
 
 
 def _cmd_mab(args):
-    if _maybe_schema(args):
-        return OK
     payload_in = json.loads(_read_text(args.infile))
     inst = MabInstance(
         payload_in["m"],
@@ -264,8 +245,6 @@ def _cmd_mab(args):
 
 
 def _cmd_wcs(args):
-    if _maybe_schema(args):
-        return OK
     circuit = parse_circuit(_read_text(args.infile))
     if args.metrics:
         metrics = circuit.metrics()
@@ -284,8 +263,6 @@ def _cmd_wcs(args):
 
 
 def _cmd_cake(args):
-    if _maybe_schema(args):
-        return OK
     densities = parse_densities(_read_text(args.infile))
     if args.protocol == "cut-and-choose":
         division = cut_and_choose(densities)
@@ -311,8 +288,6 @@ def _cmd_cake(args):
 
 
 def _cmd_gen(args):
-    if _maybe_schema(args):
-        return OK
     axis = tuple(int(t) for t in args.axis.split(",")) if args.axis else None
     spec = GeneratorSpec(model=args.model, m=args.m, n=args.n, seed=args.seed, axis=axis)
     result = generate(spec)
@@ -425,6 +400,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.json_schema:
+        _write_json(SCHEMAS[args.command])
+        return OK
     try:
         return args.func(args)
     except ParseError as err:

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .elections import Election
+from .elections import Election, _tally, _wins
 from .errors import CapacityError
 
 BRUTE_FORCE_MAX_SUBSETS = 2_000_000
@@ -57,9 +57,8 @@ class RelevanceSplit:
     ``irrelevant`` holds every alternative already scoring below ``p``;
     ``relevant`` is the rest (score >= p's score, p excluded). Classes
     partition the voters who approve at least one relevant alternative but
-    not ``p``; the key is (approved relevant subset, approves-p flag), the
-    flag being uniformly False and present only to make the exclusion of
-    p-approvers explicit.
+    not ``p``; each class is keyed by the frozenset of relevant
+    alternatives its voters approve.
     """
 
     p: int
@@ -75,10 +74,7 @@ def approval_view(e: Election, d: int) -> ApprovalView:
     if not 1 <= d < e.m:
         raise ValueError(f"approval depth {d} out of range for m={e.m}")
     approves = tuple(v.top(d) for v in e.voters)
-    scores = [0] * e.m
-    for ap in approves:
-        for c in ap:
-            scores[c] += 1
+    scores = _tally([v.ranking for v in e.voters], (1,) * d, e.m)
     return ApprovalView(d, approves, tuple(scores))
 
 
@@ -96,8 +92,7 @@ def relevance_split(e: Election, d: int, p: int) -> RelevanceSplit:
     )
     classes = {}
     for i in v_r:
-        key = (frozenset(view.approves[i] & relevant), False)
-        classes.setdefault(key, []).append(i)
+        classes.setdefault(view.approves[i] & relevant, []).append(i)
     classes = {key: tuple(members) for key, members in classes.items()}
     return RelevanceSplit(p, irrelevant, relevant, v_p, v_r, classes)
 
@@ -118,17 +113,8 @@ def reduce_instance(e: Election, d: int, p: int) -> Election:
 
 
 def _wins_after_deletion(e: Election, d: int, p: int, deleted, unique: bool) -> bool:
-    remaining = [v for i, v in enumerate(e.voters) if i not in deleted]
-    if not remaining:
-        return False
-    scores = [0] * e.m
-    for v in remaining:
-        for c in v.top(d):
-            scores[c] += 1
-    best = max(scores)
-    if scores[p] < best:
-        return False
-    return not unique or scores.count(best) == 1
+    remaining = [v.ranking for i, v in enumerate(e.voters) if i not in deleted]
+    return bool(remaining) and _wins(_tally(remaining, (1,) * d, e.m), p, unique)
 
 
 def _count_vectors(sizes, budget):
@@ -168,7 +154,7 @@ def ccdv_fpt(instance: ControlInstance, unique: bool = False):
         must_reduce = frozenset(c for c in split.relevant if view.scores[c] > sp)
     if len(must_reduce) > d * k:
         return None
-    keys = sorted(split.classes, key=lambda key: tuple(sorted(key[0])))
+    keys = sorted(split.classes, key=lambda key: tuple(sorted(key)))
     members = [split.classes[key] for key in keys]
     sizes = [len(ms) for ms in members]
     for counts in _count_vectors(sizes, k):

@@ -55,11 +55,6 @@ class DodgsonProgram:
     def max_lift(self, i):
         return len(self.passed[i])
 
-    def gain(self, i, j, y):
-        """Whether lifting the target ``j`` positions in type ``i`` adds one
-        support against ``y``."""
-        return y in self.passed[i][:j]
-
 
 @dataclass(frozen=True)
 class DodgsonSolution:

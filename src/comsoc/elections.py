@@ -234,6 +234,32 @@ class ScoringResult:
     scores: tuple
 
 
+def _tally(orders, alpha, m):
+    """Points per alternative over ``orders`` (id sequences) under ``alpha``.
+
+    ``alpha`` is nonincreasing, so its zero tail is dropped and only the
+    scoring prefix of each ranking is visited; a vector shorter than ``m``
+    scores the positions past its end as zero.
+    """
+    depth = len(alpha)
+    while depth and not alpha[depth - 1]:
+        depth -= 1
+    head = alpha[:depth]
+    scores = [0] * m
+    for order in orders:
+        for alt, points in zip(order, head):
+            scores[alt] += points
+    return scores
+
+
+def _wins(scores, p, unique):
+    """Whether ``p`` has a maximum score; the only one under ``unique``."""
+    best = max(scores)
+    if scores[p] < best:
+        return False
+    return not unique or scores.count(best) == 1
+
+
 def scoring_winners(e: Election, vector: ScoringVector) -> ScoringResult:
     """All alternatives with maximum total score under ``vector``.
 
@@ -242,11 +268,7 @@ def scoring_winners(e: Election, vector: ScoringVector) -> ScoringResult:
     """
     if len(vector) != e.m:
         raise ValueError(f"scoring vector has length {len(vector)}, election has m={e.m}")
-    alpha = vector.alpha
-    scores = [0] * e.m
-    for v in e.voters:
-        for pos, alt in enumerate(v.ranking):
-            scores[alt] += alpha[pos]
+    scores = _tally([v.ranking for v in e.voters], vector.alpha, e.m)
     best = max(scores)
     winners = tuple(c for c in e.alternatives() if scores[c] == best)
     return ScoringResult(winners, tuple(scores))
@@ -254,10 +276,9 @@ def scoring_winners(e: Election, vector: ScoringVector) -> ScoringResult:
 
 def is_winner(e: Election, vector: ScoringVector, p, unique=False) -> bool:
     """Whether ``p`` wins under ``vector``; co-winner unless ``unique``."""
-    result = scoring_winners(e, vector)
-    if p not in result.winners:
-        return False
-    return not unique or len(result.winners) == 1
+    if not 0 <= p < e.m:
+        raise ValueError(f"alternative {p} is not an id for m={e.m}")
+    return _wins(scoring_winners(e, vector).scores, p, unique)
 
 
 def kendall_tau(p, q) -> int:

@@ -1,9 +1,19 @@
+import os
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import strategies as st
 
 from comsoc.elections import Election, PreferenceOrder
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def src_env():
+    """Environment for child processes that import comsoc from this checkout."""
+    return dict(os.environ, PYTHONPATH=str(SRC))
+
 
 # Four alternatives, three voters. The unique optimal Kemeny ranking is
 # a1 > a2 > a3 > a4 (ids 0,1,2,3) with score 4; a1 is the Condorcet winner.

@@ -37,7 +37,7 @@ from comsoc.elections import condorcet_winner, majority_matrix
 from comsoc.kemeny import kemeny_brute_force, kemeny_dp
 from comsoc.structure import all_single_peaked_axes, is_single_peaked_wrt
 
-from conftest import DOC_ELECTION_4X3, DOC_ELECTION_SP_5X3, random_election
+from conftest import DOC_ELECTION_4X3, DOC_ELECTION_SP_5X3, random_election, src_env
 from test_bribery import dijkstra_swap_cost, random_price_table, swap_oracle
 from test_cake import random_constant_density, random_linear_density
 from test_circuits import random_circuit, truth_table_weight_k
@@ -361,12 +361,13 @@ def test_criterion_10_cli_determinism(tmp_path):
             "--seed",
             "2024",
         ]
-        first = subprocess.run(gen, capture_output=True, check=True)
-        second = subprocess.run(gen, capture_output=True, check=True)
+        env = src_env()
+        first = subprocess.run(gen, capture_output=True, check=True, env=env)
+        second = subprocess.run(gen, capture_output=True, check=True, env=env)
         assert first.stdout == second.stdout
         election_file = tmp_path / "generated.soc"
         soc = subprocess.run(
-            gen + ["--format", "soc"], capture_output=True, check=True
+            gen + ["--format", "soc"], capture_output=True, check=True, env=env
         )
         election_file.write_bytes(soc.stdout)
         for argv in (
@@ -376,7 +377,7 @@ def test_criterion_10_cli_determinism(tmp_path):
             ["structure", "--check", "sc"],
         ):
             cmd = [sys.executable, "-m", "comsoc.cli", *argv, "--in", str(election_file)]
-            runs = [subprocess.run(cmd, capture_output=True) for _ in range(2)]
+            runs = [subprocess.run(cmd, capture_output=True, env=env) for _ in range(2)]
             assert runs[0].stdout == runs[1].stdout
             assert runs[0].stdout.strip()
             json.loads(runs[0].stdout)

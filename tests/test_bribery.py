@@ -442,6 +442,34 @@ class TestUnitAndPricedBribery:
             )
 
 
+class TestInstanceChecks:
+    # Every alternative ties under Borda, so 0 already wins at cost 0.
+    TIED = Election([(1, 0, 2), (2, 0, 1)])
+
+    def solve(self, flavor, p, budget):
+        e, rule = self.TIED, ScoringVector.borda(3)
+        if flavor == "swap":
+            return swap_bribery(e, rule, p, SwapPriceFunction.unit(e.n, e.m), budget)
+        if flavor == "shift":
+            return shift_bribery(e, rule, p, ShiftPriceFunction.linear(e, 0), budget)
+        prices = None if flavor == "unit" else (1,) * e.n
+        return unit_or_priced_bribery(e, rule, p, BriberyBudget(budget, prices))
+
+    @pytest.mark.parametrize("flavor", ["unit", "priced", "swap", "shift"])
+    @pytest.mark.parametrize("p, budget", [(3, 2), (-1, 2), (0, -1)])
+    def test_bad_target_or_budget_rejected(self, flavor, p, budget):
+        with pytest.raises(ValueError):
+            self.solve(flavor, p, budget)
+
+    @pytest.mark.parametrize("flavor", ["unit", "priced", "swap", "shift"])
+    def test_valid_instance_is_free(self, flavor):
+        assert self.solve(flavor, 0, 0).cost == 0
+
+    def test_linear_tariffs_reject_bad_target(self):
+        with pytest.raises(ValueError):
+            ShiftPriceFunction.linear(self.TIED, 3)
+
+
 class TestBudgetMonotonicity:
     def test_all_flavors(self):
         rng = random.Random(29)

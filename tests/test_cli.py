@@ -8,6 +8,8 @@ import pytest
 from comsoc.cli import main
 from comsoc.schemas import SCHEMAS, validate_json
 
+from conftest import src_env
+
 DATA = Path(__file__).parent / "data"
 E4X3 = str(DATA / "election_4x3.soc")
 E5X3 = str(DATA / "election_sp_5x3.soc")
@@ -170,6 +172,16 @@ class TestBribe:
             "borda",
         )
         assert code == 0 and payload["yes"] is True
+
+    @pytest.mark.parametrize("flavor", ["unit", "swap", "shift"])
+    @pytest.mark.parametrize("target, budget", [("9", "2"), ("-1", "2"), ("0", "-1")])
+    def test_bad_target_or_budget_is_input_error(self, capsys, flavor, target, budget):
+        argv = ["bribe", "--in", E4X3, "--flavor", flavor, "--target", target, "--budget", budget]
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("input error:") and captured.err.count("\n") == 1
 
 
 class TestStructure:
@@ -378,7 +390,8 @@ def test_cli_determinism_across_processes():
         "--seed",
         "123",
     ]
-    first = subprocess.run(cmd, capture_output=True, check=True)
-    second = subprocess.run(cmd, capture_output=True, check=True)
+    env = src_env()
+    first = subprocess.run(cmd, capture_output=True, check=True, env=env)
+    second = subprocess.run(cmd, capture_output=True, check=True, env=env)
     assert first.stdout == second.stdout
     assert first.stdout.endswith(b"\n")

@@ -67,15 +67,12 @@ class TestBuildProgram:
         for seed, e in seeded_elections(61000, 25, max_m=5, max_n=5):
             for c in range(e.m):
                 program = build_program(e, c)
-                for i in range(len(program.types)):
-                    for y in range(e.m):
-                        hits = [
-                            program.gain(i, j, y)
-                            for j in range(program.max_lift(i) + 1)
-                        ]
-                        for j in range(1, len(hits)):
-                            if hits[j - 1]:
-                                assert hits[j], f"seed {seed}"
+                for i, t in enumerate(program.types):
+                    # A lift by j passes passed[i][:j]: the alternatives
+                    # above c, nearest first, so gains grow with the lift.
+                    above = t.order.ranking[: t.order.rank_of(c) - 1]
+                    assert program.passed[i] == above[::-1], f"seed {seed}"
+                    assert program.max_lift(i) == len(above), f"seed {seed}"
 
 
 class TestScore:

@@ -155,6 +155,29 @@ class TestScoring:
         assert is_winner(e, vec, 1)
         assert not is_winner(e, vec, 0, unique=True)
 
+    def test_is_winner_rejects_unknown_alternative(self, election_4x3):
+        for p in (-1, 4):
+            with pytest.raises(ValueError):
+                is_winner(election_4x3, ScoringVector.plurality(4), p)
+
+    @settings(max_examples=100, deadline=None)
+    @given(elections(), st.data())
+    def test_tally_and_winner_match_naive(self, e, data):
+        # Nonincreasing vectors with zero tails: d-approval, all-zero,
+        # (2, 1, 0, 0)-style and Borda-like prefixes.
+        depth = data.draw(st.integers(0, e.m))
+        head = sorted(data.draw(st.lists(st.integers(1, 4), min_size=depth, max_size=depth)))
+        vector = ScoringVector(tuple(reversed(head)) + (0,) * (e.m - depth))
+        naive = [0] * e.m
+        for v in e.voters:
+            for pos in range(e.m):
+                naive[v.ranking[pos]] += vector.alpha[pos]
+        assert scoring_winners(e, vector).scores == tuple(naive)
+        for p in range(e.m):
+            rivals = [naive[c] for c in range(e.m) if c != p]
+            assert is_winner(e, vector, p) == all(naive[p] >= s for s in rivals)
+            assert is_winner(e, vector, p, unique=True) == all(naive[p] > s for s in rivals)
+
     @settings(max_examples=60, deadline=None)
     @given(elections())
     def test_borda_equals_majority_row_sums(self, e):
