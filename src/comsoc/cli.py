@@ -46,6 +46,8 @@ from .kemeny import (
 )
 from .schemas import SCHEMAS, validate_json
 from .structure import (
+    AXIS_SEARCH_MAX_M,
+    GROUP_SEP_MAX_M,
     find_single_peaked_axis,
     group_separable_split,
     is_single_peaked_wrt,
@@ -75,13 +77,30 @@ def _read_text(path):
         return handle.read()
 
 
+def _is_int(x):
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _int_rows(payload, key):
+    """``payload[key]``, checked to be a list of lists of ints."""
+    rows = payload[key]
+    if not isinstance(rows, list) or not all(
+        isinstance(row, list) and all(map(_is_int, row)) for row in rows
+    ):
+        raise ValueError(f'"{key}" must be a list of lists of ints')
+    return rows
+
+
 def _read_election(args) -> Election:
     text = _read_text(args.infile)
     if getattr(args, "preflib", False):
         return parse_preflib_soc(text)
     if text.lstrip().startswith("{"):
         payload = json.loads(text)
-        return Election(payload["orders"], labels=payload.get("labels"))
+        labels = payload.get("labels")
+        if labels is not None and not isinstance(labels, list):
+            raise ValueError('"labels" must be a list')
+        return Election(_int_rows(payload, "orders"), labels=labels)
     return parse_election(text)
 
 
@@ -206,7 +225,7 @@ def _cmd_structure(args):
             axis = tuple(int(t) for t in args.axis.split(","))
             payload = {"single_peaked": is_single_peaked_wrt(e, axis), "axis": list(axis)}
         else:
-            axis = find_single_peaked_axis(e, max_m=args.limit_m or 10)
+            axis = find_single_peaked_axis(e, max_m=args.limit_m or AXIS_SEARCH_MAX_M)
             payload = {
                 "single_peaked": axis is not None,
                 "axis": list(axis) if axis is not None else None,
@@ -218,7 +237,7 @@ def _cmd_structure(args):
             "max_crossings": report.max_crossings,
         }
     elif args.check == "separable":
-        split = group_separable_split(e, max_m=args.limit_m or 20)
+        split = group_separable_split(e, max_m=args.limit_m or GROUP_SEP_MAX_M)
         payload = {
             "separable": split is not None,
             "groups": [list(split[0]), list(split[1])] if split is not None else None,
@@ -233,11 +252,15 @@ def _cmd_structure(args):
 
 def _cmd_mab(args):
     payload_in = json.loads(_read_text(args.infile))
-    inst = MabInstance(
-        payload_in["m"],
-        [frozenset(b) for b in payload_in["ballots"]],
-        frozenset(payload_in.get("agenda", ())),
-    )
+    if not isinstance(payload_in, dict):
+        raise ValueError("a mab instance must be a JSON object")
+    m, agenda = payload_in["m"], payload_in.get("agenda", [])
+    if not _is_int(m):
+        raise ValueError('"m" must be an int')
+    if not isinstance(agenda, list) or not all(map(_is_int, agenda)):
+        raise ValueError('"agenda" must be a list of ints')
+    ballots = _int_rows(payload_in, "ballots")
+    inst = MabInstance(m, [frozenset(b) for b in ballots], frozenset(agenda))
     ballot = mab_solve(inst, size=args.size, unanimous=args.unanimous)
     payload = {"yes": ballot is not None, "ballot": list(ballot) if ballot is not None else None}
     _emit("mab", payload)

@@ -6,12 +6,13 @@ alternative's score is its approval count, and the highest score wins
 is whether deleting at most ``k`` voters makes a distinguished alternative
 ``p`` win.
 
-The solver never deletes a voter who approves ``p`` (removing such a voter
-from any witness keeps it a witness), splits the remaining alternatives
-into irrelevant ones (score already below ``p``'s) and relevant ones, and
-enumerates, per class of voters approving the same relevant subset, how
-many of them to delete. Deletions within a class are interchangeable for
-``p``'s winner status, so only the counts matter.
+The solver builds the approval view once, never deletes a voter who
+approves ``p`` (removing such a voter from any witness keeps it a
+witness), splits the other alternatives into irrelevant ones (score
+already below ``p``'s) and relevant ones, and searches, per class of
+voters approving the same relevant subset, how many of them to delete:
+deletions within a class are interchangeable for ``p``'s winner status.
+The search updates the scores in place as it deletes and backtracks.
 
 An exhaustive search over all deletion subsets serves as the oracle.
 """
@@ -46,6 +47,8 @@ class ControlInstance:
     def __post_init__(self):
         if not 0 <= self.p < self.election.m:
             raise ValueError(f"distinguished alternative {self.p} not an id")
+        if not 1 <= self.d < self.election.m:
+            raise ValueError(f"approval depth {self.d} out of range for m={self.election.m}")
         if not 0 <= self.k <= self.election.n:
             raise ValueError(f"deletion budget {self.k} out of range")
 
@@ -58,7 +61,8 @@ class RelevanceSplit:
     ``relevant`` is the rest (score >= p's score, p excluded). Classes
     partition the voters who approve at least one relevant alternative but
     not ``p``; each class is keyed by the frozenset of relevant
-    alternatives its voters approve.
+    alternatives its voters approve. ``scores`` are the approval scores
+    the split was built from.
     """
 
     p: int
@@ -67,6 +71,7 @@ class RelevanceSplit:
     v_p: tuple
     v_r: tuple
     classes: dict
+    scores: tuple
 
 
 def approval_view(e: Election, d: int) -> ApprovalView:
@@ -94,7 +99,7 @@ def relevance_split(e: Election, d: int, p: int) -> RelevanceSplit:
     for i in v_r:
         classes.setdefault(view.approves[i] & relevant, []).append(i)
     classes = {key: tuple(members) for key, members in classes.items()}
-    return RelevanceSplit(p, irrelevant, relevant, v_p, v_r, classes)
+    return RelevanceSplit(p, irrelevant, relevant, v_p, v_r, classes, view.scores)
 
 
 def reduce_instance(e: Election, d: int, p: int) -> Election:
@@ -104,32 +109,16 @@ def reduce_instance(e: Election, d: int, p: int) -> Election:
     deleting them can never help, so they are dead weight. One pass
     suffices: removing them leaves the scores of ``p`` and of every
     relevant alternative unchanged and only lowers irrelevant ones, so the
-    split is the same afterwards and a second pass removes nothing.
+    split is the same afterwards and a second pass removes nothing. The
+    voters kept are exactly V_P and V_R.
     """
     split = relevance_split(e, d, p)
-    view = approval_view(e, d)
-    keep = [v for v, ap in zip(e.voters, view.approves) if not ap <= split.irrelevant]
-    return Election(keep, labels=e.labels)
+    return Election([e.voters[i] for i in sorted(split.v_p + split.v_r)], labels=e.labels)
 
 
 def _wins_after_deletion(e: Election, d: int, p: int, deleted, unique: bool) -> bool:
     remaining = [v.ranking for i, v in enumerate(e.voters) if i not in deleted]
     return bool(remaining) and _wins(_tally(remaining, (1,) * d, e.m), p, unique)
-
-
-def _count_vectors(sizes, budget):
-    """Deletion-count vectors (lexicographic) with sum <= budget."""
-
-    def rec(idx, left, acc):
-        if idx == len(sizes):
-            yield tuple(acc)
-            return
-        for take in range(min(sizes[idx], left) + 1):
-            acc.append(take)
-            yield from rec(idx + 1, left - take, acc)
-            acc.pop()
-
-    yield from rec(0, budget, [])
 
 
 def ccdv_fpt(instance: ControlInstance, unique: bool = False):
@@ -139,33 +128,43 @@ def ccdv_fpt(instance: ControlInstance, unique: bool = False):
     against the number of alternatives that must lose points. In unique
     mode that is every relevant alternative; in co-winner mode ties with
     ``p`` are already fine, so only strictly higher scorers count.
-    Deleting a voter never raises a score, so irrelevant alternatives stay
-    below ``p`` and p-approvers are never deleted.
+
+    The search takes 0, 1, ... voters from each class in sorted-key order
+    and returns the first winning count vector's deletions, the first
+    ``take`` members of each class. It subtracts each deleted voter's
+    class key from the scores in place, which gives a full re-tally's
+    verdict: p-approvers are never deleted, so ``p``'s score is fixed, and
+    the unsubtracted approvals of irrelevant alternatives only leave those
+    scores above their true values but still below ``p``'s. The budget is
+    capped at ``n - 1``: deleting every voter leaves no election.
     """
     e, d, p, k = instance.election, instance.d, instance.p, instance.k
-    if _wins_after_deletion(e, d, p, frozenset(), unique):
-        return []
     split = relevance_split(e, d, p)
-    view = approval_view(e, d)
-    sp = view.scores[p]
-    if unique:
-        must_reduce = split.relevant
-    else:
-        must_reduce = frozenset(c for c in split.relevant if view.scores[c] > sp)
+    if _wins(split.scores, p, unique):
+        return []
+    scores = list(split.scores)
+    must_reduce = [c for c in split.relevant if unique or scores[c] > scores[p]]
     if len(must_reduce) > d * k:
         return None
     keys = sorted(split.classes, key=lambda key: tuple(sorted(key)))
-    members = [split.classes[key] for key in keys]
-    sizes = [len(ms) for ms in members]
-    for counts in _count_vectors(sizes, k):
-        deleted = frozenset(
-            idx for ms, take in zip(members, counts) for idx in ms[:take]
-        )
-        if not deleted:
-            continue
-        if _wins_after_deletion(e, d, p, deleted, unique):
-            return sorted(deleted)
-    return None
+
+    def search(idx, left):
+        if idx == len(keys):
+            return [] if _wins(scores, p, unique) else None
+        members = split.classes[keys[idx]]
+        for take in range(min(len(members), left) + 1):
+            if take:
+                for c in keys[idx]:
+                    scores[c] -= 1
+            rest = search(idx + 1, left - take)
+            if rest is not None:
+                return [*members[:take], *rest]
+        for c in keys[idx]:
+            scores[c] += take
+        return None
+
+    witness = search(0, min(k, e.n - 1))
+    return None if witness is None else sorted(witness)
 
 
 def ccdv_bruteforce(

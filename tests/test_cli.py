@@ -119,6 +119,13 @@ class TestCcdv:
         )
         assert code == 1 and payload["yes"] is False and payload["deleted"] is None
 
+    @pytest.mark.parametrize("d", ["0", "4", "9"])
+    def test_depth_out_of_range_is_input_error(self, capsys, d):
+        code = main(["ccdv", "--in", E4X3, "--target", "3", "--d", d, "--k", "1"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith("input error:") and captured.err.count("\n") == 1
+
 
 class TestBribe:
     def test_unit_flavor(self, capsys):
@@ -209,6 +216,30 @@ class TestStructure:
     def test_deletion_distance(self, capsys):
         _, payload = run_json(capsys, "structure", "--in", E5X3, "--check", "sp-voters")
         assert payload == {"distance": 0, "witness": [], "mode": "voters"}
+
+
+@pytest.mark.parametrize(
+    "subcommand, payload",
+    [
+        ("winners", {"orders": 5}),
+        ("winners", {"orders": [[0, 1]], "labels": 3}),
+        ("winners", {"orders": [[0, 1]], "labels": "ab"}),
+        ("winners", {"orders": [[0, "a"]]}),
+        ("mab", {"m": 2, "ballots": 3}),
+        ("mab", {"m": "x", "ballots": [[0]]}),
+        ("mab", {"m": True, "ballots": [[0]]}),
+        ("mab", {"m": 2, "ballots": [[[0]]]}),
+        ("mab", {"m": 2, "ballots": [[0]], "agenda": 1}),
+        ("mab", [2]),
+    ],
+)
+def test_malformed_json_is_input_error(tmp_path, capsys, subcommand, payload):
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(payload))
+    code = main([subcommand, "--in", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("input error:") and captured.err.count("\n") == 1
 
 
 class TestMabWcsCake:

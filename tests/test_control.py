@@ -5,6 +5,7 @@ import pytest
 
 from comsoc.control import (
     ControlInstance,
+    _wins_after_deletion,
     approval_view,
     ccdv_bruteforce,
     ccdv_fpt,
@@ -29,6 +30,65 @@ def seeded_instances(base_seed, count, max_m=8, max_n=12, max_k=3):
         p = rng.randrange(m)
         out.append((seed, ControlInstance(e, d, p, k)))
     return out
+
+
+def plain_count_vector_search(instance, unique=False):
+    """The enumeration ``ccdv_fpt`` used before its in-place search.
+
+    Kept as an oracle for the exact witness: every count vector over the
+    sorted classes in lexicographic order, each checked by a full re-tally
+    of the remaining voters.
+    """
+    e, d, p, k = instance.election, instance.d, instance.p, instance.k
+    if _wins_after_deletion(e, d, p, frozenset(), unique):
+        return []
+    split = relevance_split(e, d, p)
+    scores = approval_view(e, d).scores
+    if unique:
+        must_reduce = split.relevant
+    else:
+        must_reduce = frozenset(c for c in split.relevant if scores[c] > scores[p])
+    if len(must_reduce) > d * k:
+        return None
+    keys = sorted(split.classes, key=lambda key: tuple(sorted(key)))
+    members = [split.classes[key] for key in keys]
+
+    def count_vectors(idx, left, acc):
+        if idx == len(members):
+            yield tuple(acc)
+            return
+        for take in range(min(len(members[idx]), left) + 1):
+            acc.append(take)
+            yield from count_vectors(idx + 1, left - take, acc)
+            acc.pop()
+
+    for counts in count_vectors(0, k, []):
+        deleted = frozenset(i for ms, take in zip(members, counts) for i in ms[:take])
+        if deleted and _wins_after_deletion(e, d, p, deleted, unique):
+            return sorted(deleted)
+    return None
+
+
+def p_last_instances(base_seed, count):
+    """Instances where every voter ranks ``p`` = 0 last, so all are in V_R."""
+    out = []
+    for i in range(count):
+        seed = base_seed + i
+        rng = random.Random(seed)
+        m = rng.randint(3, 7)
+        n = rng.randint(1, 10)
+        orders = [rng.sample(range(1, m), m - 1) + [0] for _ in range(n)]
+        d = rng.randint(1, m - 2)
+        k = n if i % 2 else rng.randint(0, n)
+        out.append((seed, ControlInstance(Election(orders), d, 0, k)))
+    return out
+
+
+class TestControlInstance:
+    @pytest.mark.parametrize("d", [0, 4, 9])
+    def test_rejects_depth_out_of_range(self, election_4x3, d):
+        with pytest.raises(ValueError, match="approval depth"):
+            ControlInstance(election_4x3, d, 0, 1)
 
 
 class TestApprovalView:
@@ -88,6 +148,12 @@ class TestRelevanceSplit:
                 for i in ms:
                     assert view.approves[i] & split.relevant == subset
 
+    def test_scores_are_the_approval_scores(self):
+        for seed, inst in seeded_instances(71500, 30):
+            split = relevance_split(inst.election, inst.d, inst.p)
+            view = approval_view(inst.election, inst.d)
+            assert split.scores == view.scores, f"seed {seed}"
+
 
 class TestReduceInstance:
     def test_no_candidates_means_unchanged(self):
@@ -113,6 +179,15 @@ class TestReduceInstance:
             once = reduce_instance(inst.election, inst.d, inst.p)
             twice = reduce_instance(once, inst.d, inst.p)
             assert once == twice, f"seed {seed}"
+
+    def test_matches_irrelevant_only_filter(self):
+        cases = seeded_instances(72200, 60) + p_last_instances(72300, 20)
+        for seed, inst in cases:
+            e, d, p = inst.election, inst.d, inst.p
+            split = relevance_split(e, d, p)
+            view = approval_view(e, d)
+            keep = [v for v, ap in zip(e.voters, view.approves) if not ap <= split.irrelevant]
+            assert reduce_instance(e, d, p) == Election(keep, labels=e.labels), f"seed {seed}"
 
     def test_preserves_oracle_answer_for_all_budgets(self):
         for seed, inst in seeded_instances(72500, 60, max_m=6, max_n=9):
@@ -154,9 +229,19 @@ class TestSolver:
             oracle = ccdv_bruteforce(inst, unique=True)
             assert (fpt is None) == (oracle is None), f"seed {seed}"
 
-    def test_witness_is_valid_and_within_budget(self):
-        from comsoc.control import _wins_after_deletion
+    @pytest.mark.parametrize("unique", [False, True])
+    def test_witness_identical_to_plain_count_vector_search(self, unique):
+        cases = (
+            seeded_instances(73800, 150, max_k=12)
+            + [(seed, ControlInstance(inst.election, inst.d, inst.p, inst.election.n))
+               for seed, inst in seeded_instances(73950, 50)]
+            + p_last_instances(73990, 60)
+        )
+        for seed, inst in cases:
+            expected = plain_count_vector_search(inst, unique)
+            assert ccdv_fpt(inst, unique) == expected, f"seed {seed}"
 
+    def test_witness_is_valid_and_within_budget(self):
         for seed, inst in seeded_instances(74000, 60):
             witness = ccdv_fpt(inst)
             if witness is None:
@@ -181,8 +266,6 @@ class TestSolver:
 
 class TestProperties:
     def test_within_class_exchangeability(self):
-        from comsoc.control import _wins_after_deletion
-
         rng = random.Random(99)
         for seed, inst in seeded_instances(75000, 40, max_m=6, max_n=9):
             witness = ccdv_bruteforce(inst)
@@ -209,8 +292,6 @@ class TestProperties:
             ), f"seed {seed}"
 
     def test_minimal_witnesses_avoid_p_approvers(self):
-        from comsoc.control import _wins_after_deletion
-
         for seed, inst in seeded_instances(75500, 50, max_m=6, max_n=8):
             first = ccdv_bruteforce(inst)
             if first is None:
