@@ -36,6 +36,8 @@ from .errors import CapacityError
 SWAP_MAX_M = 6
 REWRITE_MAX_M = 6
 REWRITE_MAX_N = 16
+# _cheapest_choice recurses once per voter.
+BRANCH_MAX_N = 500
 
 
 def _pair(a, b):
@@ -67,9 +69,6 @@ class SwapPriceFunction:
             for a, b in combinations(range(m), 2):
                 if _pair(a, b) not in table:
                     raise ValueError(f"voter {v} missing price for pair {(a, b)}")
-
-    def price(self, v, a, b):
-        return self.tables[v][_pair(a, b)]
 
     def voter_table(self, v):
         return self.tables[v]
@@ -276,6 +275,8 @@ def swap_bribery(
     (every target order is reachable, at the sum of its discordant pair
     prices), then a depth-first search assigns one target per voter,
     cutting branches that cannot beat the incumbent cost or the budget.
+    Above ``BRANCH_MAX_N`` voters this raises :class:`CapacityError`,
+    unless ``p`` already wins.
     """
     if e.m > max_m:
         raise CapacityError(f"swap bribery limited to m <= {max_m}, got {e.m}")
@@ -285,6 +286,8 @@ def swap_bribery(
     base = _tally([v.ranking for v in e.voters], alpha, e.m)
     if _wins(base, p, unique):
         return _finish_plan(e, rule, p, "swap", [], 0, unique)
+    if e.n > BRANCH_MAX_N:
+        raise CapacityError(f"swap bribery limited to n <= {BRANCH_MAX_N}, got {e.n}")
 
     all_orders = list(permutations(range(e.m)))
     columns = {order: tuple(_tally([order], alpha, e.m)) for order in all_orders}
@@ -335,10 +338,15 @@ def shift_bribery(
 
     Exhaustive search over per-voter shift amounts with cost-based
     pruning; tariffs are nondecreasing, so shift amounts in increasing
-    order are options in nondecreasing cost order.
+    order are options in nondecreasing cost order. Above ``BRANCH_MAX_N``
+    voters this raises :class:`CapacityError`, unless ``p`` already wins.
     """
     _check_instance(e, rule, p, budget)
     shift_prices.check_against(e, p)
+    if _wins(_tally([v.ranking for v in e.voters], rule.alpha, e.m), p, unique):
+        return _finish_plan(e, rule, p, "shift", [], 0, unique)
+    if e.n > BRANCH_MAX_N:
+        raise CapacityError(f"shift bribery limited to n <= {BRANCH_MAX_N}, got {e.n}")
     options = []
     for vi, voter in enumerate(e.voters):
         per_voter = []

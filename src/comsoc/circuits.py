@@ -46,10 +46,10 @@ class Circuit:
     no inputs and double as the circuit's variables, in declaration order.
     """
 
-    __slots__ = ("gates", "output", "variables", "_kind", "_inputs")
+    __slots__ = ("gates", "output", "variables")
 
     def __init__(self, gates, output):
-        seen = {}
+        seen = set()
         fixed = []
         variables = []
         inputs_done = True
@@ -77,7 +77,7 @@ class Circuit:
                     raise ValueError(f"gate {gid!r}: small gates take one or two inputs")
                 if kind in ("ANDBIG", "ORBIG", "MAJ") and len(inputs) < 1:
                     raise ValueError(f"gate {gid!r}: large gates need at least one input")
-            seen[gid] = (kind, inputs)
+            seen.add(gid)
             fixed.append((gid, kind, inputs))
         output = str(output)
         if output not in seen:
@@ -85,8 +85,6 @@ class Circuit:
         object.__setattr__(self, "gates", tuple(fixed))
         object.__setattr__(self, "output", output)
         object.__setattr__(self, "variables", tuple(variables))
-        object.__setattr__(self, "_kind", {g: k for g, (k, _) in seen.items()})
-        object.__setattr__(self, "_inputs", {g: i for g, (_, i) in seen.items()})
 
     def __setattr__(self, name, value):
         raise AttributeError("Circuit is immutable")

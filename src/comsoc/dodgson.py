@@ -8,10 +8,10 @@ the ``j`` alternatives passed on the way up. The program minimizes total
 swaps subject to covering the target's deficit against every opponent.
 
 The program is solved exactly by depth-first branch and bound (no external
-solver, no LP relaxation): allocations are tried in ascending cost order
-and a branch is cut when its cost plus the sum of uncovered deficits
-cannot beat the incumbent. Each swap covers at most one deficit unit, so
-that sum is a valid lower bound.
+solver, no LP relaxation), one lift amount of one type at a time: a
+branch is cut when its cost plus the sum of uncovered deficits cannot beat
+the incumbent. Each swap covers at most one deficit unit, so that sum is a
+valid lower bound.
 
 A raw breadth-first search over profiles reachable by arbitrary adjacent
 swaps serves as the independent oracle.
@@ -34,7 +34,6 @@ class PreferenceType:
 
     order: PreferenceOrder
     multiplicity: int
-    index: int
 
 
 @dataclass(frozen=True)
@@ -67,16 +66,10 @@ class DodgsonSolution:
 
 def group_types(e: Election):
     """Voters grouped into types, in order of first appearance."""
-    seen = {}
-    counts = []
+    counts = {}
     for v in e.voters:
-        if v not in seen:
-            seen[v] = len(counts)
-            counts.append(0)
-        counts[seen[v]] += 1
-    return tuple(
-        PreferenceType(order, counts[i], i) for order, i in sorted(seen.items(), key=lambda kv: kv[1])
-    )
+        counts[v] = counts.get(v, 0) + 1
+    return tuple(PreferenceType(order, count) for order, count in counts.items())
 
 
 def build_program(e: Election, c) -> DodgsonProgram:
@@ -96,27 +89,26 @@ def build_program(e: Election, c) -> DodgsonProgram:
     return DodgsonProgram(types, c, deficits, tuple(passed))
 
 
-def _allocations(multiplicity, lifts):
-    """All ways to distribute ``multiplicity`` voters over the given lift
-    amounts (lift 0 takes the remainder), as (cost, counts_by_lift)."""
-    out = []
-
-    def rec(idx, left, cost, counts):
-        if idx == len(lifts):
-            out.append((cost, tuple(counts) + (left,)))
-            return
-        j = lifts[idx]
-        for take in range(left + 1):
-            counts.append(take)
-            rec(idx + 1, left - take, cost + j * take, counts)
-            counts.pop()
-
-    rec(0, multiplicity, 0, [])
-    return out
-
-
 def dodgson_score(e: Election, c) -> DodgsonSolution | None:
     """Optimal solution of the swap-minimization program for target ``c``.
+
+    The search runs over *stages*: one per voter type and useful lift
+    amount ``j``, types in first-appearance order and ``j`` ascending
+    within a type. A lift by ``j`` is useful when the ``j``-th alternative
+    it passes still has a positive deficit; a longer lift that passes only
+    zero-deficit alternatives costs more and gains nothing, so no optimum
+    uses one. At each stage the search tries lifting ``x = 0, 1, ...`` of
+    the type's still untouched voters by ``j``, depth first from an
+    explicit stack (no recursion, so the number of types is not bounded
+    by the interpreter's recursion limit). A node is cut when its cost plus
+    its uncovered deficits reaches the incumbent, and, at a type's first
+    stage, when some deficit exceeds the voters of this and later types
+    who rank that alternative above ``c``.
+
+    Tie-break: among optimal solutions, the one whose per-stage counts, read
+    in stage order, are lexicographically smallest. Since no optimum uses a
+    useless lift, this is the optimum with the lexicographically smallest
+    sequence of ``lifts[i][1:]`` rows.
 
     Lifting ``c`` to the top of every order always meets every deficit, so
     a solution exists for every valid input; ``None`` is returned only if
@@ -124,92 +116,71 @@ def dodgson_score(e: Election, c) -> DodgsonSolution | None:
     """
     program = build_program(e, c)
     active = [y for y in range(e.m) if program.deficits[y] > 0]
-    ntypes = len(program.types)
-    if not active:
-        lifts = tuple((t.multiplicity,) + (0,) * program.max_lift(t.index) for t in program.types)
-        return DodgsonSolution(lifts, 0)
-
-    # Gains, potentials and remaining deficits are tuples indexed by
-    # position in ``active``, not dicts: they are the search's largest
-    # transient allocations.
     slot = {y: k for k, y in enumerate(active)}
+    # rows[i][0] counts the untouched voters of type i, rows[i][j] those
+    # lifted by j; the search updates them in place.
+    rows = [[t.multiplicity] + [0] * program.max_lift(i) for i, t in enumerate(program.types)]
 
-    # Lifts that pass only zero-deficit alternatives beyond the last useful
-    # one never beat the shorter lift, so they are dropped up front.
-    useful = []
-    options = []
-    for t in program.types:
-        lifts = [
-            j
-            for j in range(1, program.max_lift(t.index) + 1)
-            if program.deficits[program.passed[t.index][j - 1]] > 0
-        ]
-        useful.append(lifts)
-        per_type = []
-        for cost, counts in sorted(_allocations(t.multiplicity, lifts)):
-            gains = [0] * len(active)
-            for j, cnt in zip(lifts, counts):
-                if cnt:
-                    for y in program.passed[t.index][:j]:
-                        if y in slot:
-                            gains[slot[y]] += cnt
-            per_type.append((cost, counts, tuple(gains)))
-        options.append(per_type)
-
-    # Suffix support potential, for infeasibility pruning.
-    potential = [(0,) * len(active)] * (ntypes + 1)
-    for i in range(ntypes - 1, -1, -1):
-        t = program.types[i]
-        above = set(program.passed[i])
-        potential[i] = tuple(
-            p + (t.multiplicity if y in above else 0) for p, y in zip(potential[i + 1], active)
+    # Stages as (row, j, deficit slots a lift by j passes, potential). The
+    # potential, set only on a type's first stage, counts per deficit the
+    # voters of this and later types who rank it above c.
+    stages = []
+    potential = (0,) * len(active)
+    for i in range(len(rows) - 1, -1, -1):
+        passed = program.passed[i]
+        lifts = [j for j in range(len(passed), 0, -1) if passed[j - 1] in slot]
+        if not lifts:
+            continue
+        potential = tuple(
+            p + program.types[i].multiplicity if y in passed else p for p, y in zip(potential, active)
         )
+        for j in lifts:
+            slots = tuple(slot[y] for y in passed[:j] if y in slot)
+            stages.append((rows[i], j, slots, potential if j == lifts[-1] else None))
+    stages.reverse()
 
-    best_cost = None
-    best_counts = None
-    chosen = [None] * ntypes
+    best = None
+    best_lifts = None
+    # Frames are [stage, cost, remaining deficits, next count].
+    stack = [[0, 0, tuple(program.deficits[y] for y in active), 0]]
+    while stack:
+        frame = stack[-1]
+        s, cost, remaining, x = frame
+        if x == 0:
+            if best is not None and cost + sum(remaining) >= best:
+                stack.pop()
+                continue
+            if not any(remaining):
+                best = cost
+                best_lifts = tuple(map(tuple, rows))
+                stack.pop()
+                continue
+            if s == len(stages):
+                stack.pop()
+                continue
+            row, j, slots, potential = stages[s]
+            if potential is not None and any(r > p for r, p in zip(remaining, potential)):
+                stack.pop()
+                continue
+        else:
+            row, j, slots, _ = stages[s]
+            if not row[0] or (best is not None and cost + x * j >= best):
+                row[0] += row[j]
+                row[j] = 0
+                stack.pop()
+                continue
+            row[0] -= 1
+            row[j] = x
+            remaining = list(remaining)
+            for k in slots:
+                remaining[k] = remaining[k] - x if remaining[k] > x else 0
+            remaining = tuple(remaining)
+        frame[3] = x + 1
+        stack.append([s + 1, cost + x * j, remaining, 0])
 
-    def rec(i, cost, remaining):
-        nonlocal best_cost, best_counts
-        lower = cost + sum(remaining)
-        if best_cost is not None and lower >= best_cost:
-            return
-        if not any(remaining):
-            best_cost = cost
-            best_counts = list(chosen)
-            for k in range(i, ntypes):
-                best_counts[k] = tuple(0 for _ in useful[k])
-            return
-        if i == ntypes:
-            return
-        for r, p in zip(remaining, potential[i]):
-            if r > p:
-                return
-        for opt_cost, counts, gains in options[i]:
-            if best_cost is not None and cost + opt_cost >= best_cost:
-                break
-            chosen[i] = counts
-            rec(
-                i + 1,
-                cost + opt_cost,
-                tuple([r - g if r > g else 0 for r, g in zip(remaining, gains)]),
-            )
-        chosen[i] = None
-
-    rec(0, 0, tuple(program.deficits[y] for y in active))
-    if best_cost is None:
+    if best is None:
         return None
-
-    lifts = []
-    for i, t in enumerate(program.types):
-        counts = [0] * (program.max_lift(i) + 1)
-        taken = 0
-        for j, cnt in zip(useful[i], best_counts[i]):
-            counts[j] = cnt
-            taken += cnt
-        counts[0] = t.multiplicity - taken
-        lifts.append(tuple(counts))
-    return DodgsonSolution(tuple(lifts), best_cost)
+    return DodgsonSolution(best_lifts, best)
 
 
 def dodgson_decision(e: Election, c, k) -> bool:

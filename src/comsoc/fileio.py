@@ -151,7 +151,8 @@ def parse_preflib_soc(text: str) -> Election:
         raise CapacityError(f"PrefLib data has {total} voters, limit {PREFLIB_MAX_VOTERS}")
     voters = []
     for lineno, count, order in rows:
-        if sorted(order) != list(range(1, m + 1)):
+        # Length first: the declared m may be huge, the row is not.
+        if len(order) != m or sorted(order) != list(range(1, m + 1)):
             raise ParseError("row is not a complete strict order", lineno)
         voters.extend([PreferenceOrder([a - 1 for a in order])] * count)
     if not voters:

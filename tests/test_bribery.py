@@ -5,6 +5,7 @@ from itertools import combinations, permutations, product
 import pytest
 
 from comsoc.bribery import (
+    BRANCH_MAX_N,
     BriberyBudget,
     ShiftPriceFunction,
     SwapPriceFunction,
@@ -17,6 +18,7 @@ from comsoc.bribery import (
 )
 from comsoc.elections import Election, PreferenceOrder, ScoringVector, kendall_tau
 from comsoc.errors import CapacityError
+from comsoc.generators import GeneratorSpec, generate
 
 from conftest import random_election
 
@@ -468,6 +470,28 @@ class TestInstanceChecks:
     def test_linear_tariffs_reject_bad_target(self):
         with pytest.raises(ValueError):
             ShiftPriceFunction.linear(self.TIED, 3)
+
+
+class TestBranchCapacity:
+    # Plurality scores 374, 371, 355: 0 wins as it stands, 2 does not.
+    BIG = generate(GeneratorSpec("impartial-culture", 3, 1100, 1)).election
+
+    def solve(self, flavor, p):
+        e, rule = self.BIG, ScoringVector.plurality(3)
+        if flavor == "swap":
+            return swap_bribery(e, rule, p, SwapPriceFunction.unit(e.n, e.m), 5)
+        return shift_bribery(e, rule, p, ShiftPriceFunction.linear(e, p), 5)
+
+    @pytest.mark.parametrize("flavor", ["swap", "shift"])
+    def test_too_many_voters_is_capacity_error(self, flavor):
+        assert self.BIG.n > BRANCH_MAX_N
+        with pytest.raises(CapacityError, match="n <= 500"):
+            self.solve(flavor, 2)
+
+    @pytest.mark.parametrize("flavor", ["swap", "shift"])
+    def test_winner_is_free_at_any_size(self, flavor):
+        plan = self.solve(flavor, 0)
+        assert plan.cost == 0 and plan.actions == ()
 
 
 class TestBudgetMonotonicity:

@@ -190,6 +190,21 @@ class TestBribe:
         assert captured.out == ""
         assert captured.err.startswith("input error:") and captured.err.count("\n") == 1
 
+    @pytest.mark.parametrize("flavor", ["swap", "shift"])
+    def test_too_many_voters_is_capacity_error(self, tmp_path, capsys, flavor):
+        _, soc = run(
+            capsys, "gen", "--model", "impartial-culture", "--m", "3", "--n", "1100",
+            "--seed", "1", "--format", "soc"
+        )
+        path = tmp_path / "big.soc"
+        path.write_text(soc)
+        argv = ["bribe", "--in", str(path), "--flavor", flavor, "--target", "2", "--budget", "5"]
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert captured.err.startswith("capacity error:") and captured.err.count("\n") == 1
+
 
 class TestStructure:
     def test_sp_search(self, capsys):

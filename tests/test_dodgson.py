@@ -1,4 +1,5 @@
 import random
+from itertools import permutations, product
 
 import pytest
 
@@ -12,6 +13,7 @@ from comsoc.dodgson import (
 )
 from comsoc.elections import Election, condorcet_winner
 from comsoc.errors import CapacityError
+from comsoc.generators import MODELS, GeneratorSpec, generate
 
 from conftest import seeded_elections
 
@@ -190,3 +192,183 @@ def test_typing_is_lossless_on_multiplicity_heavy_profiles():
         e = Election(orders[:7])
         for c in range(m):
             assert dodgson_score(e, c).score == naive_lift_optimum(e, c), f"trial {trial}"
+
+
+def plain_allocation_search(e, c):
+    """The former solver, kept as the score oracle: every allocation of
+    every type's voters over its useful lifts, sorted by cost, then a
+    recursive branch and bound over types."""
+    program = build_program(e, c)
+    active = [y for y in range(e.m) if program.deficits[y] > 0]
+    ntypes = len(program.types)
+    if not active:
+        lifts = tuple((t.multiplicity,) + (0,) * program.max_lift(i) for i, t in enumerate(program.types))
+        return DodgsonSolution(lifts, 0)
+    slot = {y: k for k, y in enumerate(active)}
+
+    def allocations(multiplicity, lifts):
+        out = []
+
+        def rec(idx, left, cost, counts):
+            if idx == len(lifts):
+                out.append((cost, tuple(counts) + (left,)))
+                return
+            j = lifts[idx]
+            for take in range(left + 1):
+                counts.append(take)
+                rec(idx + 1, left - take, cost + j * take, counts)
+                counts.pop()
+
+        rec(0, multiplicity, 0, [])
+        return out
+
+    useful = []
+    options = []
+    for i, t in enumerate(program.types):
+        lifts = [
+            j
+            for j in range(1, program.max_lift(i) + 1)
+            if program.deficits[program.passed[i][j - 1]] > 0
+        ]
+        useful.append(lifts)
+        per_type = []
+        for cost, counts in sorted(allocations(t.multiplicity, lifts)):
+            gains = [0] * len(active)
+            for j, cnt in zip(lifts, counts):
+                if cnt:
+                    for y in program.passed[i][:j]:
+                        if y in slot:
+                            gains[slot[y]] += cnt
+            per_type.append((cost, counts, tuple(gains)))
+        options.append(per_type)
+
+    potential = [(0,) * len(active)] * (ntypes + 1)
+    for i in range(ntypes - 1, -1, -1):
+        t = program.types[i]
+        above = set(program.passed[i])
+        potential[i] = tuple(
+            p + (t.multiplicity if y in above else 0) for p, y in zip(potential[i + 1], active)
+        )
+
+    best_cost = None
+    best_counts = None
+    chosen = [None] * ntypes
+
+    def rec(i, cost, remaining):
+        nonlocal best_cost, best_counts
+        lower = cost + sum(remaining)
+        if best_cost is not None and lower >= best_cost:
+            return
+        if not any(remaining):
+            best_cost = cost
+            best_counts = list(chosen)
+            for k in range(i, ntypes):
+                best_counts[k] = tuple(0 for _ in useful[k])
+            return
+        if i == ntypes:
+            return
+        for r, p in zip(remaining, potential[i]):
+            if r > p:
+                return
+        for opt_cost, counts, gains in options[i]:
+            if best_cost is not None and cost + opt_cost >= best_cost:
+                break
+            chosen[i] = counts
+            rec(
+                i + 1,
+                cost + opt_cost,
+                tuple([r - g if r > g else 0 for r, g in zip(remaining, gains)]),
+            )
+        chosen[i] = None
+
+    rec(0, 0, tuple(program.deficits[y] for y in active))
+    if best_cost is None:
+        return None
+    lifts = []
+    for i, t in enumerate(program.types):
+        counts = [0] * (program.max_lift(i) + 1)
+        taken = 0
+        for j, cnt in zip(useful[i], best_counts[i]):
+            counts[j] = cnt
+            taken += cnt
+        counts[0] = t.multiplicity - taken
+        lifts.append(tuple(counts))
+    return DodgsonSolution(tuple(lifts), best_cost)
+
+
+def multiplicity_heavy(rng, m, max_types, max_count):
+    """A few distinct orders, each repeated, in shuffled voter order."""
+    orders = []
+    for _ in range(rng.randint(1, max_types)):
+        order = tuple(rng.sample(range(m), m))
+        orders.extend([order] * rng.randint(1, max_count))
+    rng.shuffle(orders)
+    return Election(orders)
+
+
+class TestStageSearch:
+    def test_scores_match_plain_allocation_search(self):
+        for k in range(150):
+            rng = random.Random(64000 + k)
+            model = MODELS[k % 3]
+            m, n = rng.randint(2, 6), rng.randint(1, 15)
+            e = generate(GeneratorSpec(model, m, n, 64000 + k)).election
+            for c in range(m):
+                assert dodgson_score(e, c).score == plain_allocation_search(e, c).score, (
+                    f"{model} seed {64000 + k} target {c}"
+                )
+
+    def test_scores_match_plain_allocation_search_with_multiplicities(self):
+        for k in range(60):
+            rng = random.Random(65000 + k)
+            e = multiplicity_heavy(rng, rng.randint(2, 5), 4, 8)
+            for c in range(e.m):
+                solution = dodgson_score(e, c)
+                assert solution.score == plain_allocation_search(e, c).score, f"seed {65000 + k}"
+                check_solution(e, c, solution)
+
+    def test_witness_is_lexicographically_smallest_optimum(self):
+        # Oracle: every allocation of every type over lifts 0..max, useful
+        # or not; among the optima, the smallest sequence of rows[1:].
+        for k in range(300):
+            rng = random.Random(66000 + k)
+            m = rng.randint(2, 4)
+            if k % 2:
+                e = multiplicity_heavy(rng, m, 3, 3)
+                e = Election(e.voters[:5])
+            else:
+                e = Election([rng.sample(range(m), m) for _ in range(rng.randint(1, 5))])
+            for c in range(m):
+                program = build_program(e, c)
+                per_type = []
+                for i, t in enumerate(program.types):
+                    rows = product(range(t.multiplicity + 1), repeat=program.max_lift(i) + 1)
+                    per_type.append([row for row in rows if sum(row) == t.multiplicity])
+                best = None
+                for rows in product(*per_type):
+                    gained = [0] * m
+                    cost = 0
+                    for i, row in enumerate(rows):
+                        for j, cnt in enumerate(row):
+                            cost += j * cnt
+                            for y in program.passed[i][:j]:
+                                gained[y] += cnt
+                    if any(gained[y] < program.deficits[y] for y in range(m)):
+                        continue
+                    key = (cost, tuple(row[1:] for row in rows))
+                    if best is None or key < best[0]:
+                        best = (key, rows)
+                solution = dodgson_score(e, c)
+                assert solution.score == best[0][0], f"seed {66000 + k} target {c}"
+                assert solution.lifts == best[1], f"seed {66000 + k} target {c}"
+
+    def test_many_types_do_not_recurse(self):
+        # 1,101 distinct orders with 0 above 2..7 and a deficit of one
+        # against 1: one frame per type would exceed the recursion limit.
+        orders = [o for o in permutations(range(8)) if all(o.index(0) < o.index(y) for y in range(2, 8))]
+        below = [o for o in orders if o.index(1) > o.index(0)][:550]
+        above = [o for o in orders if o.index(1) < o.index(0)][:551]
+        e = Election(below + above)
+        solution = dodgson_score(e, 0)
+        assert solution.score == 1
+        check_solution(e, 0, solution)

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -125,6 +126,16 @@ class TestPreflibImport:
     def test_huge_count_is_capacity_error(self):
         with pytest.raises(CapacityError, match="voters"):
             parse_preflib_soc("# NUMBER ALTERNATIVES: 3\n1000000000000: 1, 2, 3\n")
+
+    def test_huge_declared_m_is_rejected_before_allocating(self):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ParseError, match="strict order"):
+                parse_preflib_soc("# NUMBER ALTERNATIVES: 1000000\n1: 1\n")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
 
 
 class TestCircuitFormat:
