@@ -12,7 +12,9 @@ witness), splits the other alternatives into irrelevant ones (score
 already below ``p``'s) and relevant ones, and searches, per class of
 voters approving the same relevant subset, how many of them to delete:
 deletions within a class are interchangeable for ``p``'s winner status.
-The search updates the scores in place as it deletes and backtracks.
+The search runs from an explicit stack, updates the scores in place as it
+deletes and backtracks, and cuts a node once the budget or the approvers
+left cannot bring some alternative down to ``p``'s score.
 
 An exhaustive search over all deletion subsets serves as the oracle.
 """
@@ -131,12 +133,23 @@ def ccdv_fpt(instance: ControlInstance, unique: bool = False):
 
     The search takes 0, 1, ... voters from each class in sorted-key order
     and returns the first winning count vector's deletions, the first
-    ``take`` members of each class. It subtracts each deleted voter's
-    class key from the scores in place, which gives a full re-tally's
-    verdict: p-approvers are never deleted, so ``p``'s score is fixed, and
-    the unsubtracted approvals of irrelevant alternatives only leave those
-    scores above their true values but still below ``p``'s. The budget is
-    capped at ``n - 1``: deleting every voter leaves no election.
+    ``take`` members of each class. It runs depth first from an explicit
+    stack of ``[class index, budget left, next take]`` frames, so the
+    number of classes is not bounded by the interpreter's recursion limit.
+    It subtracts each deleted voter's class key from the scores in place,
+    which gives a full re-tally's verdict: p-approvers are never deleted,
+    so ``p``'s score is fixed, and the unsubtracted approvals of irrelevant
+    alternatives only leave those scores above their true values but still
+    below ``p``'s. The budget is capped at ``n - 1``: deleting every voter
+    leaves no election.
+
+    Each node is cut when a must-reduce alternative's excess (its score
+    minus ``p``'s, plus one in unique mode) is larger than the budget left
+    or than the voters of this and later classes who approve it: each
+    deletion lowers it by at most one. Such a subtree holds no winning
+    vector, so the cut never changes which witness is found first. Past
+    the last class no voter is left, so a node that survives the cut there
+    has every excess at most zero: ``p`` wins.
     """
     e, d, p, k = instance.election, instance.d, instance.p, instance.k
     split = relevance_split(e, d, p)
@@ -147,24 +160,39 @@ def ccdv_fpt(instance: ControlInstance, unique: bool = False):
     if len(must_reduce) > d * k:
         return None
     keys = sorted(split.classes, key=lambda key: tuple(sorted(key)))
+    classes = [split.classes[key] for key in keys]
+    # approvers[i][j]: voters of classes i, i + 1, ... who approve must_reduce[j].
+    approvers = [(0,) * len(must_reduce)]
+    for key, members in zip(reversed(keys), reversed(classes)):
+        approvers.append(
+            tuple(a + len(members) if c in key else a for a, c in zip(approvers[-1], must_reduce))
+        )
+    approvers.reverse()
+    ceiling = scores[p] - unique
 
-    def search(idx, left):
-        if idx == len(keys):
-            return [] if _wins(scores, p, unique) else None
-        members = split.classes[keys[idx]]
-        for take in range(min(len(members), left) + 1):
-            if take:
-                for c in keys[idx]:
-                    scores[c] -= 1
-            rest = search(idx + 1, left - take)
-            if rest is not None:
-                return [*members[:take], *rest]
-        for c in keys[idx]:
-            scores[c] += take
-        return None
-
-    witness = search(0, min(k, e.n - 1))
-    return None if witness is None else sorted(witness)
+    stack = [[0, min(k, e.n - 1), 0]]
+    while stack:
+        frame = stack[-1]
+        idx, left, take = frame
+        if take == 0:
+            if any(
+                scores[c] - ceiling > min(left, a) for c, a in zip(must_reduce, approvers[idx])
+            ):
+                stack.pop()
+                continue
+            if idx == len(keys):
+                return sorted(i for j, _, after in stack[:-1] for i in classes[j][: after - 1])
+        elif take > min(len(classes[idx]), left):
+            for c in keys[idx]:
+                scores[c] += take - 1
+            stack.pop()
+            continue
+        else:
+            for c in keys[idx]:
+                scores[c] -= 1
+        frame[2] = take + 1
+        stack.append([idx + 1, left - take, 0])
+    return None
 
 
 def ccdv_bruteforce(

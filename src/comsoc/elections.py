@@ -6,7 +6,10 @@ every algorithm works on ids. Scores and tallies are plain Python integers,
 so there is no overflow and no floating point in any election computation.
 
 All objects are immutable after construction and safe to share between
-threads; the module-level operations are pure functions.
+threads; the module-level operations are pure functions. The one cache,
+a :class:`PreferenceOrder`'s rank table, is filled on first use; every
+fill computes and writes the same value, so a race between threads only
+repeats work.
 """
 
 from __future__ import annotations
@@ -33,10 +36,6 @@ class PreferenceOrder:
         if sorted(ranking) != list(range(m)):
             raise ValueError(f"ranking {ranking!r} is not a permutation of 0..{m - 1}")
         object.__setattr__(self, "ranking", ranking)
-        ranks = [0] * m
-        for pos, alt in enumerate(ranking):
-            ranks[alt] = pos + 1
-        object.__setattr__(self, "_ranks", tuple(ranks))
 
     def __setattr__(self, name, value):
         raise AttributeError("PreferenceOrder is immutable")
@@ -45,13 +44,30 @@ class PreferenceOrder:
     def m(self):
         return len(self.ranking)
 
+    def _rank_table(self):
+        """Build and store the position of every alternative, 1-based."""
+        ranks = [0] * len(self.ranking)
+        for pos, alt in enumerate(self.ranking, 1):
+            ranks[alt] = pos
+        ranks = tuple(ranks)
+        object.__setattr__(self, "_ranks", ranks)
+        return ranks
+
     def rank_of(self, alt):
         """1-based position of ``alt``; the top choice has rank 1."""
-        return self._ranks[alt]
+        try:
+            ranks = self._ranks
+        except AttributeError:
+            ranks = self._rank_table()
+        return ranks[alt]
 
     def prefers(self, a, b):
         """True if this voter ranks ``a`` above ``b``."""
-        return self._ranks[a] < self._ranks[b]
+        try:
+            ranks = self._ranks
+        except AttributeError:
+            ranks = self._rank_table()
+        return ranks[a] < ranks[b]
 
     def top(self, d=1):
         """The ``d`` most-preferred alternatives as a frozenset."""

@@ -85,20 +85,26 @@ def _single_peaked(rng, m, n, axis):
 
 def _euclidean_1d(rng, m, n):
     """Positions on a fine grid, redrawn until every voter has strictly
-    distinct distances to all alternatives."""
+    distinct distances to all alternatives.
+
+    Positions are drawn as grid integers and compared as such; scaling by
+    ``1 / EUCLIDEAN_GRID`` changes neither the order of distances nor their
+    ties, so only the accepted draw becomes exact rationals."""
     for _ in range(1000):
-        alts = [Fraction(rng.randrange(EUCLIDEAN_GRID + 1), EUCLIDEAN_GRID) for _ in range(m)]
-        voters_pos = [Fraction(rng.randrange(EUCLIDEAN_GRID + 1), EUCLIDEAN_GRID) for _ in range(n)]
+        alts = [rng.randrange(EUCLIDEAN_GRID + 1) for _ in range(m)]
+        voters_pos = [rng.randrange(EUCLIDEAN_GRID + 1) for _ in range(n)]
         orders = []
         for vp in voters_pos:
-            dists = [abs(alts[c] - vp) for c in range(m)]
+            dists = [abs(a - vp) for a in alts]
             if len(set(dists)) != m:
                 orders = None
                 break
-            orders.append(sorted(range(m), key=lambda c: dists[c]))
+            orders.append(sorted(range(m), key=dists.__getitem__))
         if orders is not None:
             embedding = EuclideanEmbedding(
-                1, [(x,) for x in alts], [(x,) for x in voters_pos]
+                1,
+                [(Fraction(x, EUCLIDEAN_GRID),) for x in alts],
+                [(Fraction(x, EUCLIDEAN_GRID),) for x in voters_pos],
             )
             return Election(orders), embedding
     raise AssertionError("could not draw distinct Euclidean positions")

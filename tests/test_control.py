@@ -1,4 +1,5 @@
 import random
+import time
 from itertools import combinations
 
 import pytest
@@ -13,6 +14,7 @@ from comsoc.control import (
     relevance_split,
 )
 from comsoc.elections import Election, ScoringVector, scoring_winners
+from comsoc.generators import GeneratorSpec, generate
 
 from conftest import random_election
 
@@ -240,6 +242,29 @@ class TestSolver:
         for seed, inst in cases:
             expected = plain_count_vector_search(inst, unique)
             assert ccdv_fpt(inst, unique) == expected, f"seed {seed}"
+
+    @pytest.mark.parametrize("k", [10, 12])
+    def test_excess_cut_ends_a_no_instance_quickly(self, k):
+        # The lowest 2-approval scorer needs 11 points taken from one rival.
+        e = generate(GeneratorSpec("impartial-culture", 8, 60, 1)).election
+        scores = approval_view(e, 2).scores
+        p = min(range(8), key=lambda c: (scores[c], c))
+        start = time.perf_counter()
+        assert ccdv_fpt(ControlInstance(e, 2, p, k)) is None
+        assert time.perf_counter() - start < 2
+
+    def test_more_classes_than_the_recursion_limit(self):
+        # 1,365 classes over the 4-subsets of 1..15, 364 p-approvers, and
+        # one voter whose class {15} puts alternative 15 a point ahead.
+        def voter(top):
+            return [*top, *(c for c in range(22) if c not in top)]
+
+        voters = [voter(top) for top in combinations(range(1, 16), 4)]
+        voters += [voter([0, 16, 17, 18] if i % 2 == 0 else [0, 19, 20, 21]) for i in range(364)]
+        voters.append(voter([15, 16, 17, 18]))
+        e = Election(voters)
+        assert len(relevance_split(e, 4, 0).classes) == 1366
+        assert ccdv_fpt(ControlInstance(e, 4, 0, 1)) == [1729]
 
     def test_witness_is_valid_and_within_budget(self):
         for seed, inst in seeded_instances(74000, 60):

@@ -36,6 +36,31 @@ class TestPreferenceOrder:
         with pytest.raises(AttributeError):
             order.ranking = (1, 0)
 
+    def test_prefers_on_a_fresh_order(self):
+        ranking = (3, 0, 4, 1, 2)
+        for a in range(5):
+            for b in range(5):
+                order = PreferenceOrder(ranking)
+                assert order.prefers(a, b) == (ranking.index(a) < ranking.index(b))
+
+    def test_equality_and_hash_ignore_the_rank_table(self):
+        built = PreferenceOrder((2, 0, 1))
+        built.rank_of(0)
+        fresh = PreferenceOrder((2, 0, 1))
+        assert built == fresh and fresh == built
+        assert hash(built) == hash(fresh)
+        assert len({built, fresh}) == 1
+        assert built != PreferenceOrder((0, 2, 1))
+
+    def test_immutable_after_rank_table_is_built(self):
+        order = PreferenceOrder((1, 0, 2))
+        assert order.rank_of(1) == 1
+        with pytest.raises(AttributeError):
+            order.ranking = (0, 1, 2)
+        with pytest.raises(AttributeError):
+            order._ranks = (1, 2, 3)
+        assert order.ranking == (1, 0, 2) and order.rank_of(2) == 3
+
 
 class TestElection:
     def test_needs_a_voter(self):

@@ -18,10 +18,33 @@ from comsoc.fileio import (
     write_densities,
     write_election,
 )
-from comsoc.generators import GeneratorSpec, generate
-from comsoc.structure import is_single_peaked_wrt, verify_euclidean
+from comsoc.generators import EUCLIDEAN_GRID, GeneratorSpec, generate
+from comsoc.structure import EuclideanEmbedding, is_single_peaked_wrt, verify_euclidean
 
 from conftest import DOC_ELECTION_4X3, random_election
+
+
+def fraction_euclidean_1d(rng, m, n):
+    """The 1-D Euclidean model drawn and compared on ``Fraction`` positions.
+
+    The generator compares integer grid positions instead; this is the
+    form it had before, kept as the oracle for byte-identical output.
+    """
+    for _ in range(1000):
+        alts = [Fraction(rng.randrange(EUCLIDEAN_GRID + 1), EUCLIDEAN_GRID) for _ in range(m)]
+        voters_pos = [Fraction(rng.randrange(EUCLIDEAN_GRID + 1), EUCLIDEAN_GRID) for _ in range(n)]
+        orders = []
+        for vp in voters_pos:
+            dists = [abs(alts[c] - vp) for c in range(m)]
+            if len(set(dists)) != m:
+                orders = None
+                break
+            orders.append(sorted(range(m), key=lambda c: dists[c]))
+        if orders is not None:
+            embedding = EuclideanEmbedding(1, [(x,) for x in alts], [(x,) for x in voters_pos])
+            return Election(orders), embedding
+    raise AssertionError("could not draw distinct Euclidean positions")
+
 
 DOC_FILE_4X3 = """\
 # four alternatives, three voters
@@ -228,6 +251,15 @@ class TestGenerators:
             result = generate(GeneratorSpec("euclidean-1d", 4, 5, seed))
             assert result.embedding is not None
             assert verify_euclidean(result.election, result.embedding)
+
+    def test_euclidean_model_matches_fraction_oracle(self):
+        rng = random.Random(2024)
+        specs = [(1, 1), (2, 1), (14, 60)] + [(rng.randint(1, 14), rng.randint(1, 60)) for _ in range(60)]
+        for seed, (m, n) in enumerate(specs):
+            result = generate(GeneratorSpec("euclidean-1d", m, n, seed))
+            election, embedding = fraction_euclidean_1d(random.Random(seed), m, n)
+            assert write_election(result.election) == write_election(election), f"seed {seed}"
+            assert result.embedding == embedding, f"seed {seed}"
 
     def test_unknown_model_rejected(self):
         with pytest.raises(ValueError, match="unknown model"):

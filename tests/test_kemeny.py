@@ -5,7 +5,14 @@ from itertools import combinations, permutations
 import pytest
 from hypothesis import given, settings
 
-from comsoc.elections import Election, PreferenceOrder, condorcet_winner, majority_matrix, sum_kendall_tau
+from comsoc.elections import (
+    Election,
+    PreferenceOrder,
+    condorcet_winner,
+    kendall_tau,
+    majority_matrix,
+    sum_kendall_tau,
+)
 from comsoc.errors import CapacityError
 from comsoc.generators import GeneratorSpec, generate
 from comsoc.kemeny import avg_pairwise_distance, kemeny_brute_force, kemeny_decision, kemeny_dp
@@ -39,6 +46,16 @@ def plain_subset_dp(e):
         ranking.append(c)
         s ^= 1 << c
     return PreferenceOrder(ranking), best[full]
+
+
+def plain_pairwise_distance(e):
+    """The O(n^2) ``avg_pairwise_distance``: Kendall tau over every voter pair."""
+    n = e.n
+    if n < 2:
+        return 0
+    total = sum(kendall_tau(v, w) for v, w in combinations(e.voters, 2))
+    pairs = n * (n - 1) // 2
+    return -(-total // pairs)
 
 
 class TestBruteForce:
@@ -187,6 +204,20 @@ class TestAvgPairwiseDistance:
 
     def test_single_voter_convention(self):
         assert avg_pairwise_distance(Election([(1, 0)])) == 0
+
+    @pytest.mark.parametrize("model", ["impartial-culture", "single-peaked", "euclidean-1d"])
+    def test_matches_plain_pairwise_distance(self, model):
+        sizes = [(1, 1), (1, 5), (4, 1), (4, 2), (5, 2)]
+        rng = random.Random(model)
+        sizes += [(rng.randint(1, 12), rng.randint(1, 60)) for _ in range(30)]
+        for seed, (m, n) in enumerate(sizes):
+            e = generate(GeneratorSpec(model, m, n, seed)).election
+            assert avg_pairwise_distance(e) == plain_pairwise_distance(e), f"seed {seed}"
+
+    @settings(max_examples=80, deadline=None)
+    @given(elections(max_m=8, max_n=12))
+    def test_matches_plain_pairwise_distance_property(self, e):
+        assert avg_pairwise_distance(e) == plain_pairwise_distance(e)
 
 
 def test_condorcet_winner_tops_every_optimal_ranking():
