@@ -281,6 +281,8 @@ def swap_bribery(
     if e.m > max_m:
         raise CapacityError(f"swap bribery limited to m <= {max_m}, got {e.m}")
     _check_instance(e, rule, p, budget)
+    if len(prices.tables) != e.n:
+        raise ValueError(f"{len(prices.tables)} swap price tables for {e.n} voters")
     prices.check_complete(e.m)
     alpha = rule.alpha
     base = _tally([v.ranking for v in e.voters], alpha, e.m)
@@ -429,6 +431,8 @@ def unit_or_priced_bribery(
     if e.n > max_n:
         raise CapacityError(f"rewrite bribery limited to n <= {max_n}, got {e.n}")
     _check_instance(e, rule, p, budget.limit)
+    if budget.prices is not None and len(budget.prices) != e.n:
+        raise ValueError(f"{len(budget.prices)} voter prices for {e.n} voters")
     alpha = rule.alpha
     flavor = "unit" if budget.prices is None else "priced"
 

@@ -183,6 +183,8 @@ def _cmd_bribe(args):
     e = _read_election(args)
     rule = _rule(args, e.m)
     prices = json.loads(_read_text(args.prices)) if args.prices else {}
+    if not isinstance(prices, dict):
+        raise ValueError("a --prices file must be a JSON object")
     if args.flavor == "unit":
         budget = BriberyBudget(args.budget)
         plan = unit_or_priced_bribery(e, rule, args.target, budget, unique=args.unique_winner)
@@ -190,6 +192,8 @@ def _cmd_bribe(args):
         voter_prices = prices.get("voter_prices")
         if voter_prices is None:
             raise ValueError("priced bribery needs voter_prices in --prices file")
+        if not isinstance(voter_prices, list) or not all(map(_is_int, voter_prices)):
+            raise ValueError('"voter_prices" must be a list of ints')
         budget = BriberyBudget(args.budget, tuple(voter_prices))
         plan = unit_or_priced_bribery(e, rule, args.target, budget, unique=args.unique_winner)
     elif args.flavor == "swap":
@@ -197,6 +201,12 @@ def _cmd_bribe(args):
         if tables is None:
             price_fn = SwapPriceFunction.unit(e.n, e.m)
         else:
+            if not isinstance(tables, list) or not all(
+                isinstance(table, list)
+                and all(isinstance(t, list) and len(t) == 3 and all(map(_is_int, t)) for t in table)
+                for table in tables
+            ):
+                raise ValueError('"swap_prices" must be lists of [a, b, cost] int triples')
             price_fn = SwapPriceFunction(
                 [{(a, b): c for a, b, c in table} for table in tables]
             )
@@ -206,7 +216,7 @@ def _cmd_bribe(args):
         if tariffs is None:
             fn = ShiftPriceFunction.linear(e, args.target)
         else:
-            fn = ShiftPriceFunction([tuple(t) for t in tariffs])
+            fn = ShiftPriceFunction(_int_rows(prices, "shift_tariffs"))
         plan = shift_bribery(e, rule, args.target, fn, args.budget, unique=args.unique_winner)
     payload = {
         "yes": plan is not None,

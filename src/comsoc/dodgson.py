@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .elections import Election, PreferenceOrder, majority_matrix
+from .elections import Election, majority_matrix
 from .errors import CapacityError
 
 BRUTE_FORCE_MAX_CELLS = 16
@@ -29,17 +29,10 @@ BRUTE_FORCE_MAX_K = 8
 
 
 @dataclass(frozen=True)
-class PreferenceType:
-    """A distinct preference order and how many voters share it."""
-
-    order: PreferenceOrder
-    multiplicity: int
-
-
-@dataclass(frozen=True)
 class DodgsonProgram:
     """The typed swap-minimization program for one target alternative.
 
+    ``types`` holds the ``(order, count)`` pairs of :meth:`Election.types`.
     ``passed[i]`` lists the alternatives above the target in type ``i``,
     nearest first, so a lift by ``j`` passes exactly ``passed[i][:j]``.
     ``deficits[y]`` is how many new supporters the target needs against
@@ -64,14 +57,6 @@ class DodgsonSolution:
     score: int
 
 
-def group_types(e: Election):
-    """Voters grouped into types, in order of first appearance."""
-    counts = {}
-    for v in e.voters:
-        counts[v] = counts.get(v, 0) + 1
-    return tuple(PreferenceType(order, count) for order, count in counts.items())
-
-
 def build_program(e: Election, c) -> DodgsonProgram:
     """Group voters into types and derive deficits and passing gains for ``c``."""
     if not 0 <= c < e.m:
@@ -81,11 +66,11 @@ def build_program(e: Election, c) -> DodgsonProgram:
     deficits = tuple(
         0 if y == c else max(0, threshold - wins[c][y]) for y in range(e.m)
     )
-    types = group_types(e)
+    types = e.types()
     passed = []
-    for t in types:
-        pos = t.order.rank_of(c) - 1
-        passed.append(tuple(t.order[pos - 1 - k] for k in range(pos)))
+    for order, _ in types:
+        pos = order.rank_of(c) - 1
+        passed.append(tuple(order[pos - 1 - k] for k in range(pos)))
     return DodgsonProgram(types, c, deficits, tuple(passed))
 
 
@@ -119,7 +104,7 @@ def dodgson_score(e: Election, c) -> DodgsonSolution | None:
     slot = {y: k for k, y in enumerate(active)}
     # rows[i][0] counts the untouched voters of type i, rows[i][j] those
     # lifted by j; the search updates them in place.
-    rows = [[t.multiplicity] + [0] * program.max_lift(i) for i, t in enumerate(program.types)]
+    rows = [[count] + [0] * program.max_lift(i) for i, (_, count) in enumerate(program.types)]
 
     # Stages as (row, j, deficit slots a lift by j passes, potential). The
     # potential, set only on a type's first stage, counts per deficit the
@@ -132,7 +117,7 @@ def dodgson_score(e: Election, c) -> DodgsonSolution | None:
         if not lifts:
             continue
         potential = tuple(
-            p + program.types[i].multiplicity if y in passed else p for p, y in zip(potential, active)
+            p + program.types[i][1] if y in passed else p for p, y in zip(potential, active)
         )
         for j in lifts:
             slots = tuple(slot[y] for y in passed[:j] if y in slot)

@@ -6,15 +6,19 @@ every algorithm works on ids. Scores and tallies are plain Python integers,
 so there is no overflow and no floating point in any election computation.
 
 All objects are immutable after construction and safe to share between
-threads; the module-level operations are pure functions. The one cache,
-a :class:`PreferenceOrder`'s rank table, is filled on first use; every
-fill computes and writes the same value, so a race between threads only
-repeats work.
+threads; the module-level operations are pure functions. Two caches are
+filled on first use: a :class:`PreferenceOrder`'s rank table and an
+:class:`Election`'s majority matrix, so each election is tallied once.
+Every fill computes and writes the same value, so a race between threads
+only repeats work; neither cache takes part in equality or hashing.
+:meth:`Election.types` is the one grouping of voters by preference order,
+and the tally runs over it.
 """
 
 from __future__ import annotations
 
 from bisect import bisect
+from collections import Counter
 from dataclasses import dataclass
 
 
@@ -108,7 +112,7 @@ class Election:
         Distinct display names for the alternatives, id order.
     """
 
-    __slots__ = ("voters", "labels")
+    __slots__ = ("voters", "labels", "_majority")
 
     def __init__(self, voters, labels=None):
         voters = tuple(
@@ -145,6 +149,11 @@ class Election:
     def alternatives(self):
         return range(self.m)
 
+    def types(self):
+        """Distinct orders with their voter counts, as ``(order, count)``
+        pairs in order of first appearance; one O(n) pass per call."""
+        return tuple(Counter(self.voters).items())
+
     def label_of(self, alt):
         if self.labels is not None:
             return self.labels[alt]
@@ -178,20 +187,27 @@ class MajorityMatrix:
 
 
 def majority_matrix(e: Election) -> MajorityMatrix:
-    """Tally all head-to-head contests of ``e``.
+    """Tally all head-to-head contests of ``e`` over its voter types.
 
+    The matrix is stored on ``e``, so later calls return it untallied.
     For distinct ``c, d`` the complementarity ``wins[c][d] + wins[d][c] == n``
     holds; the diagonal is zero.
     """
+    try:
+        return e._majority
+    except AttributeError:
+        pass
     m = e.m
     wins = [[0] * m for _ in range(m)]
-    for v in e.voters:
-        r = v.ranking
+    for order, count in e.types():
+        r = order.ranking
         for i in range(m):
             above = r[i]
             for j in range(i + 1, m):
-                wins[above][r[j]] += 1
-    return MajorityMatrix(tuple(tuple(row) for row in wins), e.n)
+                wins[above][r[j]] += count
+    matrix = MajorityMatrix(tuple(tuple(row) for row in wins), e.n)
+    object.__setattr__(e, "_majority", matrix)
+    return matrix
 
 
 def condorcet_winner(e: Election):

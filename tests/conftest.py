@@ -68,6 +68,16 @@ def seeded_elections(base_seed: int, count: int, max_m: int, max_n: int, min_m: 
     return out
 
 
+def multiplicity_heavy(rng, m, max_types, max_count):
+    """A few distinct orders, each repeated, in shuffled voter order."""
+    orders = []
+    for _ in range(rng.randint(1, max_types)):
+        order = tuple(rng.sample(range(m), m))
+        orders.extend([order] * rng.randint(1, max_count))
+    rng.shuffle(orders)
+    return Election(orders)
+
+
 def elections(max_m=6, max_n=7):
     """Hypothesis strategy: impartial-culture elections with 2..max_m alternatives."""
 

@@ -471,6 +471,14 @@ class TestInstanceChecks:
         with pytest.raises(ValueError):
             ShiftPriceFunction.linear(self.TIED, 3)
 
+    @pytest.mark.parametrize("count", [1, 3])
+    def test_price_count_must_equal_n(self, count):
+        e, rule = self.TIED, ScoringVector.borda(3)
+        with pytest.raises(ValueError, match="voter prices for 2 voters"):
+            unit_or_priced_bribery(e, rule, 0, BriberyBudget(0, (1,) * count))
+        with pytest.raises(ValueError, match="swap price tables for 2 voters"):
+            swap_bribery(e, rule, 0, SwapPriceFunction.unit(count, e.m), 0)
+
 
 class TestBranchCapacity:
     # Plurality scores 374, 371, 355: 0 wins as it stands, 2 does not.

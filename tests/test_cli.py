@@ -190,6 +190,29 @@ class TestBribe:
         assert captured.out == ""
         assert captured.err.startswith("input error:") and captured.err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "flavor, prices",
+        [
+            ("priced", [1, 2, 3]),
+            ("swap", [1, 2, 3]),
+            ("shift", [1, 2, 3]),
+            ("priced", {"voter_prices": [1, 2]}),
+            ("priced", {"voter_prices": [1, 2, 3, 4]}),
+            ("priced", {"voter_prices": "12"}),
+            ("swap", {"swap_prices": [5, [], []]}),
+            ("swap", {"swap_prices": [[[0, 1, 1], [0, 2, 1], [0, 3, 1], [1, 2, 1], [1, 3, 1], [2, 3, 1]]]}),
+            ("shift", {"shift_tariffs": [5, [0], [0]]}),
+        ],
+    )
+    def test_malformed_prices_are_input_errors(self, tmp_path, capsys, flavor, prices):
+        path = tmp_path / "prices.json"
+        path.write_text(json.dumps(prices))
+        argv = ["bribe", "--in", E4X3, "--flavor", flavor, "--target", "1", "--budget", "2"]
+        code = main(argv + ["--prices", str(path)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith("input error:") and captured.err.count("\n") == 1
+
     @pytest.mark.parametrize("flavor", ["swap", "shift"])
     def test_too_many_voters_is_capacity_error(self, tmp_path, capsys, flavor):
         _, soc = run(

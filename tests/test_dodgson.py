@@ -9,13 +9,12 @@ from comsoc.dodgson import (
     dodgson_bruteforce,
     dodgson_decision,
     dodgson_score,
-    group_types,
 )
 from comsoc.elections import Election, condorcet_winner
 from comsoc.errors import CapacityError
 from comsoc.generators import MODELS, GeneratorSpec, generate
 
-from conftest import seeded_elections
+from conftest import multiplicity_heavy, seeded_elections
 
 
 def check_solution(e, c, solution: DodgsonSolution):
@@ -24,11 +23,11 @@ def check_solution(e, c, solution: DodgsonSolution):
     assert len(solution.lifts) == len(program.types)
     score = 0
     gained = [0] * e.m
-    for i, t in enumerate(program.types):
+    for i, (_, count) in enumerate(program.types):
         counts = solution.lifts[i]
         assert len(counts) == program.max_lift(i) + 1
         assert all(x >= 0 for x in counts)
-        assert sum(counts) == t.multiplicity
+        assert sum(counts) == count
         for j, cnt in enumerate(counts):
             score += j * cnt
             if cnt:
@@ -56,23 +55,14 @@ class TestBuildProgram:
         assert len(program.types) == 1
         assert program.max_lift(0) == 0
 
-    def test_types_group_equal_orders(self):
-        e = Election([(0, 1), (1, 0), (0, 1)])
-        types = group_types(e)
-        assert [(t.order.ranking, t.multiplicity) for t in types] == [
-            ((0, 1), 2),
-            ((1, 0), 1),
-        ]
-        assert sum(t.multiplicity for t in types) == e.n
-
     def test_gain_monotone_in_lift(self):
         for seed, e in seeded_elections(61000, 25, max_m=5, max_n=5):
             for c in range(e.m):
                 program = build_program(e, c)
-                for i, t in enumerate(program.types):
+                for i, (order, _) in enumerate(program.types):
                     # A lift by j passes passed[i][:j]: the alternatives
                     # above c, nearest first, so gains grow with the lift.
-                    above = t.order.ranking[: t.order.rank_of(c) - 1]
+                    above = order.ranking[: order.rank_of(c) - 1]
                     assert program.passed[i] == above[::-1], f"seed {seed}"
                     assert program.max_lift(i) == len(above), f"seed {seed}"
 
@@ -202,7 +192,7 @@ def plain_allocation_search(e, c):
     active = [y for y in range(e.m) if program.deficits[y] > 0]
     ntypes = len(program.types)
     if not active:
-        lifts = tuple((t.multiplicity,) + (0,) * program.max_lift(i) for i, t in enumerate(program.types))
+        lifts = tuple((count,) + (0,) * program.max_lift(i) for i, (_, count) in enumerate(program.types))
         return DodgsonSolution(lifts, 0)
     slot = {y: k for k, y in enumerate(active)}
 
@@ -224,7 +214,7 @@ def plain_allocation_search(e, c):
 
     useful = []
     options = []
-    for i, t in enumerate(program.types):
+    for i, (_, count) in enumerate(program.types):
         lifts = [
             j
             for j in range(1, program.max_lift(i) + 1)
@@ -232,7 +222,7 @@ def plain_allocation_search(e, c):
         ]
         useful.append(lifts)
         per_type = []
-        for cost, counts in sorted(allocations(t.multiplicity, lifts)):
+        for cost, counts in sorted(allocations(count, lifts)):
             gains = [0] * len(active)
             for j, cnt in zip(lifts, counts):
                 if cnt:
@@ -244,10 +234,10 @@ def plain_allocation_search(e, c):
 
     potential = [(0,) * len(active)] * (ntypes + 1)
     for i in range(ntypes - 1, -1, -1):
-        t = program.types[i]
+        count = program.types[i][1]
         above = set(program.passed[i])
         potential[i] = tuple(
-            p + (t.multiplicity if y in above else 0) for p, y in zip(potential[i + 1], active)
+            p + (count if y in above else 0) for p, y in zip(potential[i + 1], active)
         )
 
     best_cost = None
@@ -285,25 +275,15 @@ def plain_allocation_search(e, c):
     if best_cost is None:
         return None
     lifts = []
-    for i, t in enumerate(program.types):
+    for i, (_, count) in enumerate(program.types):
         counts = [0] * (program.max_lift(i) + 1)
         taken = 0
         for j, cnt in zip(useful[i], best_counts[i]):
             counts[j] = cnt
             taken += cnt
-        counts[0] = t.multiplicity - taken
+        counts[0] = count - taken
         lifts.append(tuple(counts))
     return DodgsonSolution(tuple(lifts), best_cost)
-
-
-def multiplicity_heavy(rng, m, max_types, max_count):
-    """A few distinct orders, each repeated, in shuffled voter order."""
-    orders = []
-    for _ in range(rng.randint(1, max_types)):
-        order = tuple(rng.sample(range(m), m))
-        orders.extend([order] * rng.randint(1, max_count))
-    rng.shuffle(orders)
-    return Election(orders)
 
 
 class TestStageSearch:
@@ -341,9 +321,9 @@ class TestStageSearch:
             for c in range(m):
                 program = build_program(e, c)
                 per_type = []
-                for i, t in enumerate(program.types):
-                    rows = product(range(t.multiplicity + 1), repeat=program.max_lift(i) + 1)
-                    per_type.append([row for row in rows if sum(row) == t.multiplicity])
+                for i, (_, count) in enumerate(program.types):
+                    rows = product(range(count + 1), repeat=program.max_lift(i) + 1)
+                    per_type.append([row for row in rows if sum(row) == count])
                 best = None
                 for rows in product(*per_type):
                     gained = [0] * m

@@ -1,12 +1,15 @@
 import random
+import time
 from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from comsoc.dodgson import dodgson_score
 from comsoc.elections import (
     Election,
+    MajorityMatrix,
     PreferenceOrder,
     ScoringVector,
     condorcet_winner,
@@ -15,8 +18,24 @@ from comsoc.elections import (
     majority_matrix,
     scoring_winners,
 )
+from comsoc.fileio import parse_preflib_soc
+from comsoc.generators import MODELS, GeneratorSpec, generate
+from comsoc.kemeny import avg_pairwise_distance, kemeny_dp
 
-from conftest import elections, random_election
+from conftest import elections, multiplicity_heavy, random_election
+
+
+def plain_majority_matrix(e):
+    """The former per-voter tally, kept as the oracle for the typed one."""
+    m = e.m
+    wins = [[0] * m for _ in range(m)]
+    for v in e.voters:
+        r = v.ranking
+        for i in range(m):
+            above = r[i]
+            for j in range(i + 1, m):
+                wins[above][r[j]] += 1
+    return MajorityMatrix(tuple(tuple(row) for row in wins), e.n)
 
 
 class TestPreferenceOrder:
@@ -79,8 +98,81 @@ class TestElection:
         e = Election([(0, 1)], labels=("left", "right"))
         assert e.label_of(1) == "right"
 
+    def test_types_group_equal_orders(self):
+        e = Election([(0, 1), (1, 0), (0, 1)])
+        types = e.types()
+        assert [(order.ranking, count) for order, count in types] == [
+            ((0, 1), 2),
+            ((1, 0), 1),
+        ]
+        assert sum(count for _, count in types) == e.n
+
+    def test_types_in_order_of_first_appearance(self):
+        e = Election([(2, 0, 1), (0, 1, 2), (2, 0, 1), (1, 2, 0), (0, 1, 2), (0, 1, 2)])
+        types = e.types()
+        assert [order.ranking for order, _ in types] == [(2, 0, 1), (0, 1, 2), (1, 2, 0)]
+        assert [count for _, count in types] == [2, 3, 1]
+        assert types[0][0] is e.voters[0] and types[1][0] is e.voters[1]
+
+    def test_types_group_distinct_equal_objects(self):
+        e = Election([PreferenceOrder((1, 0, 2)) for _ in range(4)] + [PreferenceOrder((0, 1, 2))])
+        assert e.voters[0] is not e.voters[1]
+        assert [(order.ranking, count) for order, count in e.types()] == [
+            ((1, 0, 2), 4),
+            ((0, 1, 2), 1),
+        ]
+
+    def test_type_counts_sum_to_n(self):
+        for k in range(40):
+            rng = random.Random(71000 + k)
+            e = multiplicity_heavy(rng, rng.randint(1, 6), 5, 9)
+            types = e.types()
+            assert sum(count for _, count in types) == e.n
+            assert len({order for order, _ in types}) == len(types) == len(set(e.voters))
+
 
 class TestMajorityMatrix:
+    def test_matches_plain_majority_matrix(self):
+        for k in range(90):
+            rng = random.Random(72000 + k)
+            m, n = rng.randint(1, 8), rng.randint(1, 40)
+            e = generate(GeneratorSpec(MODELS[k % 3], m, n, 72000 + k)).election
+            assert majority_matrix(e) == plain_majority_matrix(e), f"seed {72000 + k}"
+
+    def test_matches_plain_majority_matrix_with_multiplicities(self):
+        for k in range(60):
+            rng = random.Random(73000 + k)
+            e = multiplicity_heavy(rng, rng.randint(1, 7), 4, 30)
+            assert majority_matrix(e) == plain_majority_matrix(e), f"seed {73000 + k}"
+
+    @settings(max_examples=60, deadline=None)
+    @given(elections())
+    def test_typed_tally_property(self, e):
+        assert majority_matrix(e) == plain_majority_matrix(e)
+
+    def test_tallied_once_per_election(self, election_4x3):
+        e = Election(election_4x3.voters)
+        assert majority_matrix(e) is majority_matrix(e)
+        assert condorcet_winner(e) == 0 and majority_matrix(e) is majority_matrix(e)
+
+    def test_equality_and_hash_ignore_the_cached_tally(self):
+        tallied = Election([(0, 1, 2), (2, 1, 0), (0, 1, 2)])
+        majority_matrix(tallied)
+        fresh = Election([(0, 1, 2), (2, 1, 0), (0, 1, 2)])
+        assert tallied == fresh and fresh == tallied
+        assert hash(tallied) == hash(fresh)
+        assert len({tallied, fresh}) == 1
+        assert tallied != Election([(0, 1, 2), (2, 1, 0)])
+
+    def test_immutable_after_tally_is_cached(self):
+        e = Election([(1, 0), (0, 1), (1, 0)])
+        wins = majority_matrix(e)
+        with pytest.raises(AttributeError):
+            e.voters = ()
+        with pytest.raises(AttributeError):
+            e._majority = None
+        assert majority_matrix(e) is wins and wins[1][0] == 2
+
     def test_doc_election_tallies(self, election_4x3):
         wins = majority_matrix(election_4x3)
         assert wins[0][1] == 2
@@ -254,3 +346,22 @@ def test_random_election_helper_is_deterministic():
     a = random_election(random.Random(11), 5, 4)
     b = random_election(random.Random(11), 5, 4)
     assert a == b
+
+
+def test_preflib_scale_runs_over_types():
+    # 10^6 voters, 3 distinct orders: the tally, Kemeny, d_a and Dodgson
+    # must cost O(types) after one O(n) grouping pass, not O(n) each.
+    text = (
+        "# NUMBER ALTERNATIVES: 6\n"
+        "400000: 1,2,3,4,5,6\n"
+        "350000: 2,3,1,6,5,4\n"
+        "250000: 6,5,4,3,2,1\n"
+    )
+    start = time.perf_counter()
+    e = parse_preflib_soc(text)
+    result = kemeny_dp(e)
+    assert result.score == 4_500_000
+    assert result.ranking.ranking == (1, 2, 0, 5, 4, 3)
+    assert avg_pairwise_distance(e) == 7
+    assert dodgson_score(e, 1).score == 0
+    assert time.perf_counter() - start < 3
