@@ -127,9 +127,6 @@ class BriberyBudget:
                 raise ValueError("voter prices must be nonnegative")
             object.__setattr__(self, "prices", prices)
 
-    def voter_price(self, v):
-        return 1 if self.prices is None else self.prices[v]
-
 
 @dataclass(frozen=True)
 class VoterAction:
@@ -267,7 +264,6 @@ def swap_bribery(
     prices: SwapPriceFunction,
     budget,
     unique: bool = False,
-    max_m: int = SWAP_MAX_M,
 ):
     """Minimum-cost swap bribery plan within ``budget``, or None.
 
@@ -278,8 +274,8 @@ def swap_bribery(
     Above ``BRANCH_MAX_N`` voters this raises :class:`CapacityError`,
     unless ``p`` already wins.
     """
-    if e.m > max_m:
-        raise CapacityError(f"swap bribery limited to m <= {max_m}, got {e.m}")
+    if e.m > SWAP_MAX_M:
+        raise CapacityError(f"swap bribery limited to m <= {SWAP_MAX_M}, got {e.m}")
     _check_instance(e, rule, p, budget)
     if len(prices.tables) != e.n:
         raise ValueError(f"{len(prices.tables)} swap price tables for {e.n} voters")
@@ -418,39 +414,34 @@ def unit_or_priced_bribery(
     p,
     budget: BriberyBudget,
     unique: bool = False,
-    max_m: int = REWRITE_MAX_M,
-    max_n: int = REWRITE_MAX_N,
 ):
     """Minimum-cost bribery (unit or per-voter priced) plan, or None.
 
     Voter subsets are tried in ascending (cost, index tuple) order, so the
     first subset admitting a winning rewrite is a cheapest one.
     """
-    if e.m > max_m:
-        raise CapacityError(f"rewrite bribery limited to m <= {max_m}, got {e.m}")
-    if e.n > max_n:
-        raise CapacityError(f"rewrite bribery limited to n <= {max_n}, got {e.n}")
+    if e.m > REWRITE_MAX_M:
+        raise CapacityError(f"rewrite bribery limited to m <= {REWRITE_MAX_M}, got {e.m}")
+    if e.n > REWRITE_MAX_N:
+        raise CapacityError(f"rewrite bribery limited to n <= {REWRITE_MAX_N}, got {e.n}")
     _check_instance(e, rule, p, budget.limit)
     if budget.prices is not None and len(budget.prices) != e.n:
         raise ValueError(f"{len(budget.prices)} voter prices for {e.n} voters")
     alpha = rule.alpha
     flavor = "unit" if budget.prices is None else "priced"
 
-    subsets = []
-    for size in range(e.n + 1):
-        for subset in combinations(range(e.n), size):
-            cost = sum(budget.voter_price(v) for v in subset)
-            if cost <= budget.limit:
-                subsets.append((cost, subset))
-    subsets.sort(key=lambda item: (item[0], item[1]))
+    prices = budget.prices or (1,) * e.n
+    subsets = sorted(
+        (cost, subset)
+        for size in range(e.n + 1)
+        for subset in combinations(range(e.n), size)
+        if (cost := sum(prices[v] for v in subset)) <= budget.limit
+    )
 
     for cost, subset in subsets:
         rewrites = _rewrite_feasible(e, alpha, p, set(subset), unique)
         if rewrites is None:
             continue
-        actions = [
-            VoterAction(vi, order, budget.voter_price(vi))
-            for vi, order in sorted(rewrites.items())
-        ]
+        actions = [VoterAction(vi, order, prices[vi]) for vi, order in sorted(rewrites.items())]
         return _finish_plan(e, rule, p, flavor, actions, cost, unique)
     return None

@@ -128,7 +128,7 @@ class Circuit:
         return CircuitMetrics(weft[self.output], depth[self.output])
 
 
-def wcs_solve(circuit: Circuit, k: int, max_combinations: int = WCS_MAX_COMBINATIONS):
+def wcs_solve(circuit: Circuit, k: int):
     """First weight-k satisfying assignment, by variable declaration order.
 
     Returns the true variables as a tuple, or None. Weight is exact: the
@@ -137,8 +137,8 @@ def wcs_solve(circuit: Circuit, k: int, max_combinations: int = WCS_MAX_COMBINAT
     n = circuit.n_variables
     if not 0 <= k <= n:
         return None
-    if comb(n, k) > max_combinations:
-        raise CapacityError(f"C({n}, {k}) assignments exceed limit {max_combinations}")
+    if comb(n, k) > WCS_MAX_COMBINATIONS:
+        raise CapacityError(f"C({n}, {k}) assignments exceed limit {WCS_MAX_COMBINATIONS}")
     for subset in combinations(circuit.variables, k):
         if circuit.evaluate(subset):
             return subset
@@ -181,7 +181,6 @@ def mab_solve(
     inst: MabInstance,
     size=None,
     unanimous: bool = False,
-    max_m: int = MAB_MAX_PROPOSALS,
 ):
     """Smallest, then lexicographically first, accepted ballot Q containing
     the agenda; None if none exists.
@@ -190,8 +189,8 @@ def mab_solve(
     Acceptance needs strictly more than half of the voters (all of them
     under ``unanimous``).
     """
-    if inst.m > max_m:
-        raise CapacityError(f"ballot search limited to m <= {max_m}, got {inst.m}")
+    if inst.m > MAB_MAX_PROPOSALS:
+        raise CapacityError(f"ballot search limited to m <= {MAB_MAX_PROPOSALS}, got {inst.m}")
     if size is not None and not len(inst.agenda) <= size <= inst.m:
         raise ValueError(f"size {size} incompatible with agenda of {len(inst.agenda)}")
     sizes = [size] if size is not None else list(range(len(inst.agenda), inst.m + 1))

@@ -37,17 +37,9 @@ from .fileio import (
     write_election,
 )
 from .generators import GeneratorSpec, generate
-from .kemeny import (
-    BRUTE_FORCE_MAX_M,
-    DP_MAX_M,
-    avg_pairwise_distance,
-    kemeny_brute_force,
-    kemeny_dp,
-)
+from .kemeny import avg_pairwise_distance, kemeny_brute_force, kemeny_dp
 from .schemas import SCHEMAS, validate_json
 from .structure import (
-    AXIS_SEARCH_MAX_M,
-    GROUP_SEP_MAX_M,
     find_single_peaked_axis,
     group_separable_split,
     is_single_peaked_wrt,
@@ -134,9 +126,9 @@ def _cmd_winners(args):
 def _cmd_kemeny(args):
     e = _read_election(args)
     if args.method == "brute-force":
-        result = kemeny_brute_force(e, max_m=args.limit_m or BRUTE_FORCE_MAX_M)
+        result = kemeny_brute_force(e)
     else:
-        result = kemeny_dp(e, max_m=args.limit_m or DP_MAX_M)
+        result = kemeny_dp(e)
     payload = {
         "score": result.score,
         "ranking": list(result.ranking.ranking),
@@ -235,7 +227,7 @@ def _cmd_structure(args):
             axis = tuple(int(t) for t in args.axis.split(","))
             payload = {"single_peaked": is_single_peaked_wrt(e, axis), "axis": list(axis)}
         else:
-            axis = find_single_peaked_axis(e, max_m=args.limit_m or AXIS_SEARCH_MAX_M)
+            axis = find_single_peaked_axis(e)
             payload = {
                 "single_peaked": axis is not None,
                 "axis": list(axis) if axis is not None else None,
@@ -247,7 +239,7 @@ def _cmd_structure(args):
             "max_crossings": report.max_crossings,
         }
     elif args.check == "separable":
-        split = group_separable_split(e, max_m=args.limit_m or GROUP_SEP_MAX_M)
+        split = group_separable_split(e)
         payload = {
             "separable": split is not None,
             "groups": [list(split[0]), list(split[1])] if split is not None else None,
@@ -373,7 +365,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("kemeny", _cmd_kemeny, help="optimal ranking, its score, and d_a")
     add_infile(p)
     p.add_argument("--method", choices=("dp", "brute-force"), default="dp")
-    p.add_argument("--limit-m", type=int, default=None)
 
     p = add("dodgson", _cmd_dodgson, help="swaps needed to create a Condorcet winner")
     add_infile(p)
@@ -403,7 +394,6 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
     )
     p.add_argument("--axis", default=None, help="comma-separated axis for --check sp")
-    p.add_argument("--limit-m", type=int, default=None)
 
     p = add("mab", _cmd_mab, help="majority-accepted ballot search")
     p.add_argument("--in", dest="infile", default="-", help="JSON instance file")

@@ -40,7 +40,7 @@ class KemenyResult:
     score: int
 
 
-def kemeny_brute_force(e: Election, max_m: int = BRUTE_FORCE_MAX_M) -> KemenyResult:
+def kemeny_brute_force(e: Election) -> KemenyResult:
     """Minimum-score ranking by enumerating all m! candidates.
 
     The score of each candidate ranking is the sum of its Kendall tau
@@ -48,8 +48,8 @@ def kemeny_brute_force(e: Election, max_m: int = BRUTE_FORCE_MAX_M) -> KemenyRes
     break to the lexicographically smallest ranking; enumeration order
     already delivers that.
     """
-    if e.m > max_m:
-        raise CapacityError(f"brute force limited to m <= {max_m}, got m={e.m}")
+    if e.m > BRUTE_FORCE_MAX_M:
+        raise CapacityError(f"brute force limited to m <= {BRUTE_FORCE_MAX_M}, got m={e.m}")
     best_score = None
     best = None
     for candidate in permutations(range(e.m)):
@@ -60,7 +60,7 @@ def kemeny_brute_force(e: Election, max_m: int = BRUTE_FORCE_MAX_M) -> KemenyRes
     return KemenyResult(PreferenceOrder(best), best_score)
 
 
-def kemeny_dp(e: Election, max_m: int = DP_MAX_M) -> KemenyResult:
+def kemeny_dp(e: Election) -> KemenyResult:
     """Minimum-score ranking via dynamic programming over subsets, one
     majority component at a time.
 
@@ -77,8 +77,8 @@ def kemeny_dp(e: Election, max_m: int = DP_MAX_M) -> KemenyResult:
     operations for the closure. The capacity limit still applies to m.
     """
     m = e.m
-    if m > max_m:
-        raise CapacityError(f"subset DP limited to m <= {max_m}, got m={m}")
+    if m > DP_MAX_M:
+        raise CapacityError(f"subset DP limited to m <= {DP_MAX_M}, got m={m}")
     wins = majority_matrix(e).wins
     reach = [sum(1 << d for d in range(m) if wins[d][c] <= wins[c][d]) for c in range(m)]
     for k in range(m):

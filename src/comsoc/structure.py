@@ -57,23 +57,23 @@ def is_single_peaked_wrt(e: Election, axis) -> bool:
     return all(peak_count(v, axis) == 1 for v in e.voters)
 
 
-def find_single_peaked_axis(e: Election, max_m: int = AXIS_SEARCH_MAX_M):
+def find_single_peaked_axis(e: Election):
     """Lexicographically first axis making ``e`` single-peaked, or None.
 
     Exhaustive over all m! candidate axes.
     """
-    if e.m > max_m:
-        raise CapacityError(f"axis search limited to m <= {max_m}, got {e.m}")
+    if e.m > AXIS_SEARCH_MAX_M:
+        raise CapacityError(f"axis search limited to m <= {AXIS_SEARCH_MAX_M}, got {e.m}")
     for axis in permutations(range(e.m)):
         if is_single_peaked_wrt(e, axis):
             return axis
     return None
 
 
-def all_single_peaked_axes(e: Election, max_m: int = AXIS_SEARCH_MAX_M):
+def all_single_peaked_axes(e: Election):
     """Every axis making ``e`` single-peaked (reversal-closed by symmetry)."""
-    if e.m > max_m:
-        raise CapacityError(f"axis search limited to m <= {max_m}, got {e.m}")
+    if e.m > AXIS_SEARCH_MAX_M:
+        raise CapacityError(f"axis search limited to m <= {AXIS_SEARCH_MAX_M}, got {e.m}")
     return [axis for axis in permutations(range(e.m)) if is_single_peaked_wrt(e, axis)]
 
 
@@ -166,11 +166,11 @@ def _subsets_lex(m):
     yield from rec((), 0)
 
 
-def group_separable_split(e: Election, max_m: int = GROUP_SEP_MAX_M):
+def group_separable_split(e: Election):
     """First (lexicographic) nonempty proper group A such that every voter
     ranks all of A above all of its complement or vice versa, or None."""
-    if e.m > max_m:
-        raise CapacityError(f"group separability limited to m <= {max_m}, got {e.m}")
+    if e.m > GROUP_SEP_MAX_M:
+        raise CapacityError(f"group separability limited to m <= {GROUP_SEP_MAX_M}, got {e.m}")
     prefixes = [
         [frozenset(v.ranking[:s]) for s in range(e.m + 1)] for v in e.voters
     ]
@@ -201,13 +201,21 @@ def sp_deletion_distance(e: Election, mode: str):
             raise CapacityError(f"voter deletion limited to n <= {VOTER_DELETION_MAX_N}")
         if e.m > AXIS_SEARCH_MAX_M:
             raise CapacityError(f"axis search limited to m <= {AXIS_SEARCH_MAX_M}")
-        for size in range(e.n):
-            for drop in combinations(range(e.n), size):
-                keep = [v for i, v in enumerate(e.voters) if i not in drop]
-                if find_single_peaked_axis(Election(keep)) is not None:
-                    return size, drop
-        # Unreachable: a single voter is single-peaked along its own order.
-        raise AssertionError("no single-voter sub-election was single-peaked")
+        # Reaching one axis means deleting exactly the voters not single-peaked
+        # on it, so the answer is the smallest (size, drop) over all axes.
+        best = (e.n + 1, ())
+        for axis in permutations(range(e.m)):
+            drop = []
+            for i, v in enumerate(e.voters):
+                if peak_count(v, axis) != 1:
+                    drop.append(i)
+                    if len(drop) > best[0]:
+                        break
+            else:
+                best = min(best, (len(drop), tuple(drop)))
+                if not drop:
+                    break
+        return best
     if mode == "alternatives":
         if e.m > ALT_DELETION_MAX_M:
             raise CapacityError(f"alternative deletion limited to m <= {ALT_DELETION_MAX_M}")

@@ -6,6 +6,8 @@ from pathlib import Path
 import pytest
 
 from comsoc.cli import main
+from comsoc.elections import Election
+from comsoc.fileio import write_election
 from comsoc.schemas import SCHEMAS, validate_json
 
 from conftest import src_env
@@ -82,9 +84,34 @@ class TestKemeny:
         _, bf = run_json(capsys, "kemeny", "--in", E4X3, "--method", "brute-force")
         assert dp["score"] == bf["score"] and dp["ranking"] == bf["ranking"]
 
-    def test_limit_flag_gives_capacity_error(self, capsys):
-        code, _ = run(capsys, "kemeny", "--in", E4X3, "--limit-m", "3")
-        assert code == 3
+
+def over_limit(tmp_path, m):
+    path = tmp_path / f"m{m}.soc"
+    path.write_text(write_election(Election([tuple(range(m)), tuple(reversed(range(m)))])))
+    return str(path)
+
+
+class TestCapacityLimits:
+    @pytest.mark.parametrize(
+        "m, argv",
+        [
+            (9, ["kemeny", "--method", "brute-force"]),
+            (25, ["kemeny"]),
+            (11, ["structure", "--check", "sp"]),
+            (21, ["structure", "--check", "separable"]),
+        ],
+    )
+    def test_over_limit_input_is_capacity_error(self, tmp_path, capsys, m, argv):
+        code = main(argv + ["--in", over_limit(tmp_path, m)])
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == ""
+        assert captured.err.startswith("capacity error:") and captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [["kemeny"], ["structure", "--check", "sp"]])
+    def test_limit_flag_is_rejected(self, capsys, argv):
+        with pytest.raises(SystemExit) as info:
+            main(argv + ["--in", E4X3, "--limit-m", "30"])
+        assert info.value.code == 2
 
 
 class TestDodgson:

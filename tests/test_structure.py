@@ -1,6 +1,7 @@
 import random
+import time
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import given, settings
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from comsoc.elections import Election, PreferenceOrder
 from comsoc.errors import CapacityError
+from comsoc.generators import MODELS, GeneratorSpec, generate
 from comsoc.structure import (
     EuclideanEmbedding,
     all_single_peaked_axes,
@@ -30,6 +32,17 @@ SP_5X3_VALID_AXES = {
     (4, 0, 1, 2, 3),
     (4, 3, 2, 1, 0),
 }
+
+
+def subset_voter_deletion(e):
+    """Oracle: voter subsets by size, then lexicographically, until the
+    remaining voters are single-peaked on some axis."""
+    for size in range(e.n):
+        for drop in combinations(range(e.n), size):
+            keep = [v for i, v in enumerate(e.voters) if i not in drop]
+            if find_single_peaked_axis(Election(keep)) is not None:
+                return size, drop
+    raise AssertionError("a single voter is single-peaked along its own order")
 
 
 class TestPeakCount:
@@ -276,3 +289,16 @@ class TestDeletionDistance:
         tall = Election([(0, 1)] * 11)
         with pytest.raises(CapacityError):
             sp_deletion_distance(tall, "voters")
+
+    def test_voters_match_subset_oracle(self):
+        for k in range(90):
+            rng = random.Random(76000 + k)
+            m, n = rng.randint(1, 6), rng.randint(1, 9)
+            e = generate(GeneratorSpec(MODELS[k % 3], m, n, 76000 + k)).election
+            assert sp_deletion_distance(e, "voters") == subset_voter_deletion(e), f"seed {76000 + k}"
+
+    def test_voters_one_pass_over_axes(self):
+        e = generate(GeneratorSpec("impartial-culture", 7, 10, 1)).election
+        start = time.perf_counter()
+        assert sp_deletion_distance(e, "voters") == (8, (0, 1, 2, 3, 5, 6, 7, 8))
+        assert time.perf_counter() - start < 5
