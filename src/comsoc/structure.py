@@ -51,10 +51,42 @@ def peak_count(order, axis) -> int:
     return peaks
 
 
+def _rank_tables(e: Election):
+    """Each distinct voter order with its 1-based rank of every alternative,
+    in order of first appearance."""
+    return [(order, [order.rank_of(a) for a in range(e.m)]) for order, _ in e.types()]
+
+
+def _one_peak(ranks, axis) -> bool:
+    """True if ``peak_count`` is 1 for the order with these ranks on a valid
+    ``axis``: the utility along it rises, then falls, and never rises again.
+    Stops at the first rise after a fall."""
+    falling = False
+    prev = len(ranks) + 1
+    for a in axis:
+        r = ranks[a]
+        if r > prev:
+            falling = True
+        elif falling:
+            return False
+        prev = r
+    return True
+
+
 def is_single_peaked_wrt(e: Election, axis) -> bool:
     """True if every voter has exactly one peak along ``axis``."""
     axis = _as_axis(axis, e.m)
-    return all(peak_count(v, axis) == 1 for v in e.voters)
+    return all(_one_peak(ranks, axis) for _, ranks in _rank_tables(e))
+
+
+def _single_peaked_axes(e: Election):
+    """Axes making ``e`` single-peaked, lexicographically, over all m!."""
+    if e.m > AXIS_SEARCH_MAX_M:
+        raise CapacityError(f"axis search limited to m <= {AXIS_SEARCH_MAX_M}, got {e.m}")
+    tables = [ranks for _, ranks in _rank_tables(e)]
+    for axis in permutations(range(e.m)):
+        if all(_one_peak(ranks, axis) for ranks in tables):
+            yield axis
 
 
 def find_single_peaked_axis(e: Election):
@@ -62,19 +94,12 @@ def find_single_peaked_axis(e: Election):
 
     Exhaustive over all m! candidate axes.
     """
-    if e.m > AXIS_SEARCH_MAX_M:
-        raise CapacityError(f"axis search limited to m <= {AXIS_SEARCH_MAX_M}, got {e.m}")
-    for axis in permutations(range(e.m)):
-        if is_single_peaked_wrt(e, axis):
-            return axis
-    return None
+    return next(_single_peaked_axes(e), None)
 
 
 def all_single_peaked_axes(e: Election):
     """Every axis making ``e`` single-peaked (reversal-closed by symmetry)."""
-    if e.m > AXIS_SEARCH_MAX_M:
-        raise CapacityError(f"axis search limited to m <= {AXIS_SEARCH_MAX_M}, got {e.m}")
-    return [axis for axis in permutations(range(e.m)) if is_single_peaked_wrt(e, axis)]
+    return list(_single_peaked_axes(e))
 
 
 @dataclass(frozen=True)
@@ -203,17 +228,23 @@ def sp_deletion_distance(e: Election, mode: str):
             raise CapacityError(f"axis search limited to m <= {AXIS_SEARCH_MAX_M}")
         # Reaching one axis means deleting exactly the voters not single-peaked
         # on it, so the answer is the smallest (size, drop) over all axes.
+        # Each distinct order is tested once; its verdict covers its voters.
+        voters_of = {}
+        for i, v in enumerate(e.voters):
+            voters_of.setdefault(v, []).append(i)
+        tables = [(voters_of[order], ranks) for order, ranks in _rank_tables(e)]
         best = (e.n + 1, ())
         for axis in permutations(range(e.m)):
-            drop = []
-            for i, v in enumerate(e.voters):
-                if peak_count(v, axis) != 1:
-                    drop.append(i)
-                    if len(drop) > best[0]:
+            dropped, size = [], 0
+            for voters, ranks in tables:
+                if not _one_peak(ranks, axis):
+                    dropped += voters
+                    size += len(voters)
+                    if size > best[0]:
                         break
             else:
-                best = min(best, (len(drop), tuple(drop)))
-                if not drop:
+                best = min(best, (size, tuple(sorted(dropped))))
+                if not size:
                     break
         return best
     if mode == "alternatives":

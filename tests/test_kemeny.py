@@ -1,4 +1,5 @@
 import random
+import time
 from array import array
 from itertools import combinations, permutations
 
@@ -15,7 +16,15 @@ from comsoc.elections import (
 )
 from comsoc.errors import CapacityError
 from comsoc.generators import GeneratorSpec, generate
-from comsoc.kemeny import avg_pairwise_distance, kemeny_brute_force, kemeny_decision, kemeny_dp
+from comsoc.kemeny import (
+    _insertion_order,
+    _score,
+    _subset_table,
+    avg_pairwise_distance,
+    kemeny_brute_force,
+    kemeny_decision,
+    kemeny_dp,
+)
 
 from conftest import elections, random_election, seeded_elections
 
@@ -46,6 +55,82 @@ def plain_subset_dp(e):
         ranking.append(c)
         s ^= 1 << c
     return PreferenceOrder(ranking), best[full]
+
+
+def dense_subset_dp(e):
+    """The half-mask subset DP without bounds, over all m alternatives.
+
+    ``best[S]`` is the cheapest way to order the alternatives in ``S`` as
+    the final |S| positions, stored for every subset. Placing ``c`` first
+    among ``S`` costs the column sum of ``wins[d][c]`` over ``d`` in ``S``.
+    Each alternative has two half-mask tables of that sum, over the low
+    ``h = m // 2`` alternatives and over the rest, so the cost is
+    ``lo[S & low] + hi[S >> h]``. Reconstruction picks the smallest ``c``
+    achieving the optimum at every step.
+    """
+    m = e.m
+    wins = majority_matrix(e).wins
+    h = m // 2
+    low = (1 << h) - 1
+    items = [
+        (
+            1 << c,
+            _subset_table([wins[d][c] for d in range(h)], 0),
+            _subset_table([wins[d][c] for d in range(h, m)], 0),
+        )
+        for c in range(m)
+    ]
+    low_members = _subset_table([(item,) for item in items[:h]], ())
+    high_members = _subset_table([(item,) for item in items[h:]], ())
+
+    infinity = 1 << 62
+    best = array("q", [0]) * (1 << m)
+    for hs, high in enumerate(high_members):
+        base = hs << h
+        for ls, lows in enumerate(low_members):
+            s = base | ls
+            b = infinity
+            for part in (lows, high):
+                for bit, lo, hi in part:
+                    cand = best[s ^ bit] + lo[ls] + hi[hs]
+                    if cand < b:
+                        b = cand
+            if s:
+                best[s] = b
+
+    order = []
+    s = (1 << m) - 1
+    while s:
+        ls, hs = s & low, s >> h
+        for c, (bit, lo, hi) in enumerate(items):
+            if s & bit and best[s ^ bit] + lo[ls] + hi[hs] == best[s]:
+                order.append(c)
+                s ^= bit
+                break
+    return PreferenceOrder(order), best[(1 << m) - 1]
+
+
+def pairwise_lower_bound(wins):
+    m = len(wins)
+    return sum(min(wins[a][b], wins[b][a]) for a, b in combinations(range(m), 2))
+
+
+def assert_kemeny_certificate(e, ranking, score):
+    """The score recounts, reaches the pairwise lower bound or more, and no
+    move of a single alternative lowers it."""
+    wins = majority_matrix(e).wins
+    assert sorted(ranking) == list(range(e.m))
+    assert sum_kendall_tau(e, ranking) == score
+    assert score >= pairwise_lower_bound(wins)
+    for i, x in enumerate(ranking):
+        delta = 0
+        for y in ranking[i + 1 :]:  # move x below y
+            delta += wins[x][y] - wins[y][x]
+            assert delta >= 0, f"moving {x} below {y} lowers the score"
+        delta = 0
+        for y in reversed(ranking[:i]):  # move x above y
+            delta += wins[y][x] - wins[x][y]
+            assert delta >= 0, f"moving {x} above {y} lowers the score"
 
 
 def plain_pairwise_distance(e):
@@ -165,6 +250,66 @@ class TestDp:
         result = kemeny_dp(e)
         assert result.ranking.ranking == tuple(majority_order)
         assert result.score == sum(min(wins[a][b], wins[b][a]) for a, b in combinations(range(m), 2))
+
+    def test_impartial_culture_at_capacity_limit(self):
+        # One majority component of nearly all 24 alternatives; the bounds
+        # leave the DP a small share of its 2^24 subsets.
+        e = generate(GeneratorSpec("impartial-culture", 24, 51, 7)).election
+        start = time.perf_counter()
+        result = kemeny_dp(e)
+        assert time.perf_counter() - start < 5
+        assert_kemeny_certificate(e, result.ranking.ranking, result.score)
+
+    def test_matches_dense_subset_dp_on_impartial_culture(self):
+        for m in range(8, 16):
+            e = generate(GeneratorSpec("impartial-culture", m, 51, m)).election
+            result = kemeny_dp(e)
+            assert (result.ranking, result.score) == dense_subset_dp(e), f"m={m}"
+
+    @pytest.mark.parametrize("model", ["single-peaked", "euclidean-1d"])
+    def test_matches_dense_subset_dp_on_structured_profiles(self, model):
+        for seed in range(12):
+            rng = random.Random(f"dense:{model}:{seed}")
+            m, n = rng.randint(6, 14), rng.choice((2, 4, 10, 51))
+            e = generate(GeneratorSpec(model, m, n, seed)).election
+            result = kemeny_dp(e)
+            assert (result.ranking, result.score) == dense_subset_dp(e), f"seed {seed}"
+
+    def test_matches_dense_subset_dp_with_majority_ties(self):
+        for seed in range(55000, 55030):
+            rng = random.Random(seed)
+            e = random_election(rng, rng.randint(8, 12), rng.choice((2, 4, 6)))
+            result = kemeny_dp(e)
+            assert (result.ranking, result.score) == dense_subset_dp(e), f"seed {seed}"
+
+    def test_matches_dense_subset_dp_when_nothing_is_pruned(self):
+        # Two reversed voters tie on every pair: every ranking scores the
+        # pairwise lower bound, so the DP stores all 2^14 subsets.
+        m = 14
+        e = Election([tuple(range(m)), tuple(reversed(range(m)))])
+        result = kemeny_dp(e)
+        assert (result.ranking, result.score) == dense_subset_dp(e)
+        assert result.ranking.ranking == tuple(range(m))
+        assert result.score == m * (m - 1) // 2
+
+    @settings(max_examples=60, deadline=None)
+    @given(elections(max_m=10, max_n=6))
+    def test_matches_dense_subset_dp_property(self, e):
+        result = kemeny_dp(e)
+        assert (result.ranking, result.score) == dense_subset_dp(e)
+
+    @pytest.mark.parametrize("model", ["impartial-culture", "single-peaked", "euclidean-1d"])
+    def test_bounds_enclose_the_optimum(self, model):
+        for seed in range(20):
+            rng = random.Random(f"bounds:{model}:{seed}")
+            m, n = rng.randint(2, 12), rng.choice((1, 2, 3, 4, 6, 10, 51))
+            e = generate(GeneratorSpec(model, m, n, seed)).election
+            wins = majority_matrix(e).wins
+            order = _insertion_order(wins, list(range(m)))
+            ub = _score(wins, order)
+            assert ub == sum_kendall_tau(e, order), f"seed {seed}"
+            assert_kemeny_certificate(e, order, ub)
+            assert pairwise_lower_bound(wins) <= kemeny_dp(e).score <= ub, f"seed {seed}"
 
     @settings(max_examples=60, deadline=None)
     @given(elections(max_m=7, max_n=8))

@@ -22,7 +22,7 @@ from comsoc.structure import (
     verify_euclidean,
 )
 
-from conftest import random_election
+from conftest import multiplicity_heavy, random_election
 
 # The complete axis set for the five-alternative doc election: the two
 # documented axes and their reverses, nothing else (exhaustive over 120).
@@ -43,6 +43,39 @@ def subset_voter_deletion(e):
             if find_single_peaked_axis(Election(keep)) is not None:
                 return size, drop
     raise AssertionError("a single voter is single-peaked along its own order")
+
+
+def per_voter_axes(e):
+    """Oracle: every axis on which ``peak_count`` is 1 for each voter, one
+    voter at a time."""
+    return [
+        axis
+        for axis in permutations(range(e.m))
+        if all(peak_count(v, axis) == 1 for v in e.voters)
+    ]
+
+
+def per_voter_deletion(e):
+    """Oracle: the one-pass voter deletion that tests every voter on every
+    axis with ``peak_count``."""
+    best = (e.n + 1, ())
+    for axis in permutations(range(e.m)):
+        drop = tuple(i for i, v in enumerate(e.voters) if peak_count(v, axis) != 1)
+        best = min(best, (len(drop), drop))
+    return best
+
+
+def typed_profiles(base_seed, count, max_m, max_n):
+    """Seeded profiles of all three models, every third one rebuilt from a
+    few orders with heavy multiplicities."""
+    for k in range(count):
+        seed = base_seed + k
+        rng = random.Random(seed)
+        m = rng.randint(1, max_m)
+        if k % 3 == 2:
+            yield seed, multiplicity_heavy(rng, m, 3, max(1, max_n // 3))
+        else:
+            yield seed, generate(GeneratorSpec(MODELS[k % 3], m, rng.randint(1, max_n), seed)).election
 
 
 class TestPeakCount:
@@ -113,6 +146,16 @@ class TestSinglePeaked:
         assert is_single_peaked_wrt(e, axis) == is_single_peaked_wrt(
             e, tuple(reversed(axis))
         )
+
+    def test_axes_match_per_voter_oracle(self):
+        for seed, e in typed_profiles(77000, 60, 6, 30):
+            axes = per_voter_axes(e)
+            assert all_single_peaked_axes(e) == axes, f"seed {seed}"
+            assert find_single_peaked_axis(e) == (axes[0] if axes else None), f"seed {seed}"
+            rng = random.Random(seed)
+            for _ in range(5):
+                axis = tuple(rng.sample(range(e.m), e.m))
+                assert is_single_peaked_wrt(e, axis) == (axis in axes), f"seed {seed}"
 
 
 class TestSingleCrossing:
@@ -296,6 +339,10 @@ class TestDeletionDistance:
             m, n = rng.randint(1, 6), rng.randint(1, 9)
             e = generate(GeneratorSpec(MODELS[k % 3], m, n, 76000 + k)).election
             assert sp_deletion_distance(e, "voters") == subset_voter_deletion(e), f"seed {76000 + k}"
+
+    def test_voters_match_per_voter_oracle(self):
+        for seed, e in typed_profiles(78000, 90, 6, 10):
+            assert sp_deletion_distance(e, "voters") == per_voter_deletion(e), f"seed {seed}"
 
     def test_voters_one_pass_over_axes(self):
         e = generate(GeneratorSpec("impartial-culture", 7, 10, 1)).election
