@@ -22,11 +22,19 @@ orders and the resulting election so they can be re-validated.
 Everything is enumeration plus branch and bound, sized for desk scale;
 capacity limits are explicit. Swap and shift share one branch and bound
 (:func:`_cheapest_choice`): each voter gets a cost-sorted list of options,
-and a depth-first search picks one option per voter.
+and a depth-first search picks one option per voter. Before the search,
+one table per rival gives the least that the voters still to come must
+spend so that the preferred alternative catches up with that rival; a
+node is cut when some rival cannot be caught within the budget, or when
+its cost plus the dearest rival's catch-up cost reaches the incumbent or
+exceeds the budget. The bound never exceeds the cost of a winning
+completion, so the first optimal plan in search order survives and the
+returned plan is the one the search finds without the bound.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import combinations, permutations
 
@@ -217,29 +225,95 @@ def _finish_plan(e, rule, p, flavor, actions, cost, unique):
     for action in actions:
         orders[action.voter] = action.new_order.ranking
     result = Election([PreferenceOrder(o) for o in orders], labels=e.labels)
-    scores = _tally(orders, rule.alpha, e.m)
-    assert _wins(scores, p, unique)
+    if not _wins(_tally(orders, rule.alpha, e.m), p, unique):
+        raise AssertionError(f"{flavor} plan leaves {p} losing")
     return BriberyPlan(flavor, tuple(actions), cost, result)
+
+
+def _rival_bound(options, p, c, budget):
+    """Per voter index ``vi``, the cheapest extra cost with which voters
+    ``vi..n-1`` give ``p`` a margin of at least ``g`` over rival ``c``.
+
+    Returns ``(lows, tables)``: ``tables[vi][g - lows[vi]]`` is that cost
+    for ``g >= lows[vi]``, and ``tables[vi][0]`` also serves every lower
+    ``g``; a ``g`` past the table's end costs more than ``budget``. A
+    voter's margin for an option is ``column[p] - column[c]``. Since the
+    tables ask for "at least ``g``", an option whose margin is no larger
+    than that of a cheaper one never helps. The tables are filled from the
+    last voter back by a min-plus step over the margins left, and the
+    entries over ``budget``, all at the high end, are dropped.
+    """
+    n = len(options)
+    lows = [0] * (n + 1)
+    tables = [[] for _ in range(n + 1)]
+    tables[n] = [0]
+    for vi in range(n - 1, -1, -1):
+        table = tables[vi + 1]
+        if not table:
+            break
+        # Options come cheapest first; keep the rising margins, and of two
+        # at one cost the larger margin.
+        front = []
+        for cost, _, column in options[vi]:
+            d = column[p] - column[c]
+            if not front or d > front[-1][0]:
+                while front and front[-1][1] == cost:
+                    front.pop()
+                front.append((d, cost))
+        d_lo, d_hi = front[0][0], front[-1][0]
+        rows = [
+            [cost + table[0]] * (d - d_lo) + [cost + x for x in table] + [budget + 1] * (d_hi - d)
+            for d, cost in front
+        ]
+        step = list(map(min, zip(*rows)))
+        del step[bisect_right(step, budget) :]
+        lows[vi], tables[vi] = lows[vi + 1] + d_lo, step
+    return lows, tables
 
 
 def _cheapest_choice(options, m, p, unique, budget):
     """Cheapest choice of one option per voter that makes ``p`` win.
 
     ``options[v]`` lists voter ``v``'s ``(cost, key, column)`` options in
-    nondecreasing cost order, ``column`` being the points the option gives
-    each alternative. The depth-first search stops a voter's loop at the
-    first option over the budget or not cheaper than the incumbent; only a
-    strictly cheaper choice replaces the incumbent, so ties go to the first
-    in search order. Returns ``(cost, keys)`` or None.
+    nondecreasing, nonnegative cost order, ``column`` being the points the
+    option gives each alternative. The depth-first search stops a voter's
+    loop at the first option over the budget or not cheaper than the
+    incumbent; only a strictly cheaper choice replaces the incumbent, so
+    ties go to the first in search order. Returns ``(cost, keys)`` or None.
+
+    Before the search, :func:`_rival_bound` tabulates per rival ``c`` what
+    the voters still to come must at least spend so that ``p`` ends level
+    with ``c`` (ahead of it under ``unique``). A node is cut when, for some
+    rival, no choice of the remaining voters within the budget closes the
+    gap, or when its cost plus the largest per-rival spend exceeds the
+    budget or is not below the incumbent. That bound never exceeds the
+    cost of a winning leaf below the node. So the first optimal leaf in
+    search order is never cut: the incumbent is still dearer when the
+    search reaches it. Every other cut drops only leaves that could not
+    replace the incumbent, and the result, witness included, is the one
+    the search finds without the bound.
     """
     n = len(options)
+    bounds = [(c, *_rival_bound(options, p, c, budget)) for c in range(m) if c != p]
     best_cost = None
     best_keys = None
     keys = [None] * n
 
     def rec(vi, cost, scores):
         nonlocal best_cost, best_keys
-        if best_cost is not None and cost >= best_cost:
+        lead = scores[p] - unique
+        rest = 0
+        for c, lows, tables in bounds:
+            table = tables[vi]
+            k = scores[c] - lead - lows[vi]
+            if k < 0:
+                k = 0
+            if k >= len(table):
+                return
+            if table[k] > rest:
+                rest = table[k]
+        bound = cost + rest
+        if bound > budget or (best_cost is not None and bound >= best_cost):
             return
         if vi == n:
             if _wins(scores, p, unique):

@@ -1,9 +1,15 @@
 import heapq
 import random
+import subprocess
+import sys
+import time
 from itertools import combinations, permutations, product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from comsoc import bribery
 from comsoc.bribery import (
     BRANCH_MAX_N,
     BriberyBudget,
@@ -16,11 +22,18 @@ from comsoc.bribery import (
     swap_bribery,
     unit_or_priced_bribery,
 )
-from comsoc.elections import Election, PreferenceOrder, ScoringVector, kendall_tau
+from comsoc.elections import (
+    Election,
+    PreferenceOrder,
+    ScoringVector,
+    _wins,
+    kendall_tau,
+    scoring_winners,
+)
 from comsoc.errors import CapacityError
 from comsoc.generators import GeneratorSpec, generate
 
-from conftest import random_election
+from conftest import elections, random_election, src_env
 
 
 def oracle_tally(orders, alpha, m):
@@ -525,3 +538,230 @@ class TestBudgetMonotonicity:
             for check in checks:
                 if check(b_small) is not None:
                     assert check(b_big) is not None, f"trial {trial}"
+
+
+def plain_cheapest_choice(options, m, p, unique, budget):
+    """The swap and shift search without the per-rival bound: cuts on cost
+    alone, so it is the oracle for the bounded search's result and witness."""
+    n = len(options)
+    best_cost = None
+    best_keys = None
+    keys = [None] * n
+
+    def rec(vi, cost, scores):
+        nonlocal best_cost, best_keys
+        if best_cost is not None and cost >= best_cost:
+            return
+        if vi == n:
+            if _wins(scores, p, unique):
+                best_cost = cost
+                best_keys = list(keys)
+            return
+        for extra, key, column in options[vi]:
+            total = cost + extra
+            if total > budget or (best_cost is not None and total >= best_cost):
+                break
+            keys[vi] = key
+            rec(vi + 1, total, [s + c for s, c in zip(scores, column)])
+
+    rec(0, 0, [0] * m)
+    return None if best_cost is None else (best_cost, best_keys)
+
+
+def with_plain_search(solve):
+    """Run ``solve()`` with the unbounded search in place of the solver's."""
+    bounded = bribery._cheapest_choice
+    bribery._cheapest_choice = plain_cheapest_choice
+    try:
+        return solve()
+    finally:
+        bribery._cheapest_choice = bounded
+
+
+def random_rule(rng, m):
+    kind = rng.randrange(3)
+    if kind == 0:
+        return ScoringVector.borda(m)
+    if kind == 1:
+        return ScoringVector.plurality(m)
+    return ScoringVector.d_approval(m, rng.randint(1, m))
+
+
+def random_tariffs(rng, e, p, max_step=3):
+    rhos = []
+    for v in e.voters:
+        rho = [0]
+        for _ in range(v.rank_of(p) - 1):
+            rho.append(rho[-1] + rng.randint(0, max_step))
+        rhos.append(tuple(rho))
+    return ShiftPriceFunction(rhos)
+
+
+# The last entry is an open budget: no plan at these sizes costs that much.
+BUDGETS = (0, 1, 3, 6, 1000)
+
+
+class TestBoundedSearch:
+    def test_matches_plain_search_on_option_lists(self):
+        rng = random.Random(31)
+        for trial in range(400):
+            m = rng.randint(1, 4)
+            n = rng.randint(0, 5)
+            options = []
+            for _ in range(n):
+                costs = sorted(rng.randint(0, 4) for _ in range(rng.randint(1, 5)))
+                options.append(
+                    [
+                        (cost, j, tuple(rng.randint(0, 3) for _ in range(m)))
+                        for j, cost in enumerate(costs)
+                    ]
+                )
+            p = rng.randrange(m)
+            unique = rng.random() < 0.5
+            budget = rng.choice(BUDGETS)
+            assert bribery._cheapest_choice(options, m, p, unique, budget) == plain_cheapest_choice(
+                options, m, p, unique, budget
+            ), f"trial {trial}"
+
+    def test_swap_plans_match_plain_search(self):
+        rng = random.Random(32)
+        found = 0
+        for trial in range(120):
+            m = rng.randint(2, 4)
+            n = rng.randint(1, 3 if m == 4 else 4)
+            e = random_election(rng, m, n)
+            rule = random_rule(rng, m)
+            p = rng.randrange(m)
+            unique = rng.random() < 0.5
+            price_fn = SwapPriceFunction([random_price_table(rng, m, 3) for _ in range(n)])
+            budget = rng.choice(BUDGETS)
+            plan = swap_bribery(e, rule, p, price_fn, budget, unique)
+            assert plan == with_plain_search(
+                lambda: swap_bribery(e, rule, p, price_fn, budget, unique)
+            ), f"trial {trial}"
+            found += plan is not None and plan.cost > 0
+        assert found >= 30
+
+    def test_shift_plans_match_plain_search(self):
+        rng = random.Random(33)
+        found = 0
+        for trial in range(150):
+            m = rng.randint(2, 5)
+            n = rng.randint(1, 6)
+            e = random_election(rng, m, n)
+            rule = random_rule(rng, m)
+            p = rng.randrange(m)
+            unique = rng.random() < 0.5
+            tariffs = random_tariffs(rng, e, p)
+            budget = rng.choice(BUDGETS)
+            plan = shift_bribery(e, rule, p, tariffs, budget, unique)
+            assert plan == with_plain_search(
+                lambda: shift_bribery(e, rule, p, tariffs, budget, unique)
+            ), f"trial {trial}"
+            found += plan is not None and plan.cost > 0
+        assert found >= 30
+
+    @settings(max_examples=60, deadline=None)
+    @given(elections(max_m=4, max_n=4), st.data())
+    def test_plans_match_plain_search_property(self, e, data):
+        p = data.draw(st.integers(0, e.m - 1))
+        unique = data.draw(st.booleans())
+        budget = data.draw(st.sampled_from(BUDGETS))
+        points = data.draw(st.lists(st.integers(0, 3), min_size=e.m, max_size=e.m))
+        rule = ScoringVector(tuple(sorted(points, reverse=True)))
+        if data.draw(st.booleans()):
+            price_fn = SwapPriceFunction(
+                [
+                    {pair: data.draw(st.integers(0, 3)) for pair in combinations(range(e.m), 2)}
+                    for _ in range(e.n)
+                ]
+            )
+            solve = lambda: swap_bribery(e, rule, p, price_fn, budget, unique)
+        else:
+            rhos = []
+            for v in e.voters:
+                size = v.rank_of(p) - 1
+                steps = data.draw(st.lists(st.integers(0, 3), min_size=size, max_size=size))
+                rhos.append(tuple(sum(steps[:t]) for t in range(size + 1)))
+            tariffs = ShiftPriceFunction(rhos)
+            solve = lambda: shift_bribery(e, rule, p, tariffs, budget, unique)
+        assert solve() == with_plain_search(solve)
+
+
+def lowest_borda_scorer(e):
+    scores = scoring_winners(e, ScoringVector.borda(e.m)).scores
+    return min(range(e.m), key=lambda c: (scores[c], c))
+
+
+class TestCliffs:
+    """The two former cliff instances, each once over 30 s for the search
+    that cut on cost alone."""
+
+    def test_swap_impartial_culture_m5_n10(self):
+        e = generate(GeneratorSpec("impartial-culture", 5, 10, 1)).election
+        rule, p = ScoringVector.borda(5), lowest_borda_scorer(e)
+        prices = SwapPriceFunction.unit(e.n, e.m)
+        start = time.perf_counter()
+        assert swap_bribery(e, rule, p, prices, 8) is None
+        plan = swap_bribery(e, rule, p, prices, 1000)
+        assert time.perf_counter() - start < 5
+        # The open-budget optimum lies above 8, as the refusal at 8 says.
+        assert plan.cost == 13
+        rebuilt = list(e.voters)
+        total = 0
+        for action in plan.actions:
+            order, cost = apply_swap_sequence(
+                e.voters[action.voter], action.swaps, prices.voter_table(action.voter)
+            )
+            assert order == action.new_order
+            rebuilt[action.voter] = order
+            total += cost
+        assert total == plan.cost
+        assert oracle_wins(oracle_tally([v.ranking for v in rebuilt], rule.alpha, e.m), p)
+        assert swap_bribery(e, rule, p, prices, plan.cost - 1) is None
+
+    def test_shift_impartial_culture_m6_n40(self):
+        e = generate(GeneratorSpec("impartial-culture", 6, 40, 1)).election
+        rule, p = ScoringVector.borda(6), lowest_borda_scorer(e)
+        tariffs = ShiftPriceFunction.linear(e, p)
+        start = time.perf_counter()
+        plan = shift_bribery(e, rule, p, tariffs, 20)
+        assert time.perf_counter() - start < 5
+        assert plan.cost == 11
+        rebuilt = [v.ranking for v in e.voters]
+        total = 0
+        for action in plan.actions:
+            r = list(rebuilt[action.voter])
+            pos = r.index(p)
+            del r[pos]
+            r.insert(pos - action.shift, p)
+            assert tuple(r) == action.new_order.ranking
+            rebuilt[action.voter] = tuple(r)
+            total += tariffs.cost(action.voter, action.shift)
+        assert total == plan.cost
+        assert oracle_wins(oracle_tally(rebuilt, rule.alpha, e.m), p)
+        start = time.perf_counter()
+        assert shift_bribery(e, rule, p, tariffs, plan.cost - 1) is None
+        assert time.perf_counter() - start < 5
+
+
+def test_losing_plan_is_refused_under_optimize():
+    # A bare assert would vanish under -O; the plan check must not.
+    script = (
+        "from comsoc.bribery import _finish_plan\n"
+        "from comsoc.elections import Election, ScoringVector\n"
+        "e = Election([(0, 1, 2)] * 3)\n"
+        "try:\n"
+        "    _finish_plan(e, ScoringVector.borda(3), 2, 'swap', [], 0, False)\n"
+        "except AssertionError as err:\n"
+        "    print(err)\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        env=src_env(),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "swap plan leaves 2 losing"
