@@ -1,6 +1,15 @@
 """Dodgson scores: fewest adjacent swaps to forge a Condorcet winner."""
 
-from comsoc import Election, build_program, dodgson_bruteforce, dodgson_score
+import time
+
+from comsoc import (
+    Election,
+    GeneratorSpec,
+    build_program,
+    dodgson_bruteforce,
+    dodgson_score,
+    generate,
+)
 
 e = Election(
     [
@@ -25,3 +34,11 @@ for c in e.alternatives():
     score = dodgson_score(e, c).score
     assert dodgson_bruteforce(e, c, score, max_k=12) == score
 print("swap-BFS oracle confirms every score")
+
+# A larger profile: 60 impartial-culture voters over 7 alternatives. The
+# search remembers the cheapest cost per (stage, remaining deficits) at
+# each voter type's first stage and cuts costlier revisits.
+e = generate(GeneratorSpec("impartial-culture", 7, 60, 1)).election
+start = time.perf_counter()
+solution = dodgson_score(e, 2)
+print(f"IC m=7 n=60: target 2 scores {solution.score} in {time.perf_counter() - start:.2f} s")

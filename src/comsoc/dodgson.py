@@ -11,7 +11,10 @@ The program is solved exactly by depth-first branch and bound (no external
 solver, no LP relaxation), one lift amount of one type at a time: a
 branch is cut when its cost plus the sum of uncovered deficits cannot beat
 the incumbent. Each swap covers at most one deficit unit, so that sum is a
-valid lower bound.
+valid lower bound. At each voter type's first stage the search also keeps
+the lowest cost seen per (stage, remaining deficits), in the spirit of the
+deficit DP of Betzler, Guo and Niedermeier (Inf. Comput. 2010), and cuts a
+node that arrives there at no lower cost.
 
 A raw breadth-first search over profiles reachable by arbitrary adjacent
 swaps serves as the independent oracle.
@@ -90,10 +93,20 @@ def dodgson_score(e: Election, c) -> DodgsonSolution | None:
     stage, when some deficit exceeds the voters of this and later types
     who rank that alternative above ``c``.
 
+    A per-call memo maps ``(stage, remaining deficits)`` to the lowest cost
+    seen, and is read only at a type's first stage. There, that type's row
+    and all later rows are untouched, so the subtree depends only on the
+    key and the incumbent, which only falls. A node whose key was seen at
+    a cost no higher is cut: the earlier visit explored the same
+    completions at no higher cost, or cut them against an incumbent at
+    least as high.
+
     Tie-break: among optimal solutions, the one whose per-stage counts, read
     in stage order, are lexicographically smallest. Since no optimum uses a
     useless lift, this is the optimum with the lexicographically smallest
-    sequence of ``lifts[i][1:]`` rows.
+    sequence of ``lifts[i][1:]`` rows. The memo keeps it: the earlier visit
+    came first in depth-first order, so its stage counts so far are the
+    lexicographically smaller ones, and a cut node could only have tied.
 
     Lifting ``c`` to the top of every order always meets every deficit, so
     a solution exists for every valid input; ``None`` is returned only if
@@ -126,6 +139,8 @@ def dodgson_score(e: Election, c) -> DodgsonSolution | None:
 
     best = None
     best_lifts = None
+    # Lowest cost seen per (stage, remaining deficits), at first stages only.
+    memo = {}
     # Frames are [stage, cost, remaining deficits, next count].
     stack = [[0, 0, tuple(program.deficits[y] for y in active), 0]]
     while stack:
@@ -144,9 +159,16 @@ def dodgson_score(e: Election, c) -> DodgsonSolution | None:
                 stack.pop()
                 continue
             row, j, slots, potential = stages[s]
-            if potential is not None and any(r > p for r, p in zip(remaining, potential)):
-                stack.pop()
-                continue
+            if potential is not None:
+                key = (s, remaining)
+                seen = memo.get(key)
+                if seen is not None and seen <= cost:
+                    stack.pop()
+                    continue
+                memo[key] = cost
+                if any(r > p for r, p in zip(remaining, potential)):
+                    stack.pop()
+                    continue
         else:
             row, j, slots, _ = stages[s]
             if not row[0] or (best is not None and cost + x * j >= best):
@@ -197,10 +219,13 @@ def dodgson_bruteforce(
 ):
     """Minimum adjacent swaps (any pair, any voter) making ``c`` the
     Condorcet winner, by breadth-first search; ``None`` beyond ``k_cap``.
+    A negative ``k_cap`` raises ``ValueError``.
 
     Deliberately independent of the program formulation: swaps are applied
     to raw profiles, including swaps that do not involve ``c``.
     """
+    if k_cap < 0:
+        raise ValueError(f"k_cap {k_cap} is negative")
     if e.n * e.m > max_cells:
         raise CapacityError(f"profile has {e.n * e.m} cells, limit {max_cells}")
     if k_cap > max_k:

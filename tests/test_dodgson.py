@@ -1,7 +1,9 @@
 import random
+import time
 from itertools import permutations, product
 
 import pytest
+from hypothesis import given, settings
 
 from comsoc.dodgson import (
     DodgsonSolution,
@@ -14,7 +16,7 @@ from comsoc.elections import Election, condorcet_winner
 from comsoc.errors import CapacityError
 from comsoc.generators import MODELS, GeneratorSpec, generate
 
-from conftest import multiplicity_heavy, seeded_elections
+from conftest import elections, multiplicity_heavy, seeded_elections
 
 
 def check_solution(e, c, solution: DodgsonSolution):
@@ -109,6 +111,13 @@ class TestBruteForce:
 
     def test_budget_zero_without_winner(self, election_4x3):
         assert dodgson_bruteforce(election_4x3, 1, 0) is None
+
+    def test_negative_cap_rejected(self):
+        # 0 is the Condorcet winner, so a cap of -1 must not answer 0.
+        e = Election([(0, 1, 2), (0, 2, 1), (1, 0, 2)])
+        assert not dodgson_decision(e, 0, -1)
+        with pytest.raises(ValueError):
+            dodgson_bruteforce(e, 0, -1)
 
     def test_capacity_limits(self):
         big = Election([tuple(range(6))] * 3)
@@ -352,3 +361,125 @@ class TestStageSearch:
         solution = dodgson_score(e, 0)
         assert solution.score == 1
         check_solution(e, 0, solution)
+
+
+def plain_stage_search(e, c):
+    """The stage search without the memo, kept as the oracle for scores
+    and witnesses."""
+    program = build_program(e, c)
+    active = [y for y in range(e.m) if program.deficits[y] > 0]
+    slot = {y: k for k, y in enumerate(active)}
+    # rows[i][0] counts the untouched voters of type i, rows[i][j] those
+    # lifted by j; the search updates them in place.
+    rows = [[count] + [0] * program.max_lift(i) for i, (_, count) in enumerate(program.types)]
+
+    # Stages as (row, j, deficit slots a lift by j passes, potential). The
+    # potential, set only on a type's first stage, counts per deficit the
+    # voters of this and later types who rank it above c.
+    stages = []
+    potential = (0,) * len(active)
+    for i in range(len(rows) - 1, -1, -1):
+        passed = program.passed[i]
+        lifts = [j for j in range(len(passed), 0, -1) if passed[j - 1] in slot]
+        if not lifts:
+            continue
+        potential = tuple(
+            p + program.types[i][1] if y in passed else p for p, y in zip(potential, active)
+        )
+        for j in lifts:
+            slots = tuple(slot[y] for y in passed[:j] if y in slot)
+            stages.append((rows[i], j, slots, potential if j == lifts[-1] else None))
+    stages.reverse()
+
+    best = None
+    best_lifts = None
+    # Frames are [stage, cost, remaining deficits, next count].
+    stack = [[0, 0, tuple(program.deficits[y] for y in active), 0]]
+    while stack:
+        frame = stack[-1]
+        s, cost, remaining, x = frame
+        if x == 0:
+            if best is not None and cost + sum(remaining) >= best:
+                stack.pop()
+                continue
+            if not any(remaining):
+                best = cost
+                best_lifts = tuple(map(tuple, rows))
+                stack.pop()
+                continue
+            if s == len(stages):
+                stack.pop()
+                continue
+            row, j, slots, potential = stages[s]
+            if potential is not None and any(r > p for r, p in zip(remaining, potential)):
+                stack.pop()
+                continue
+        else:
+            row, j, slots, _ = stages[s]
+            if not row[0] or (best is not None and cost + x * j >= best):
+                row[0] += row[j]
+                row[j] = 0
+                stack.pop()
+                continue
+            row[0] -= 1
+            row[j] = x
+            remaining = list(remaining)
+            for k in slots:
+                remaining[k] = remaining[k] - x if remaining[k] > x else 0
+            remaining = tuple(remaining)
+        frame[3] = x + 1
+        stack.append([s + 1, cost + x * j, remaining, 0])
+
+    if best is None:
+        return None
+    return DodgsonSolution(best_lifts, best)
+
+
+class TestMemo:
+    def test_matches_plain_stage_search(self):
+        # Scores and witnesses, down to the tie-break, on all three models
+        # with every third profile rebuilt with heavy multiplicities.
+        for k in range(150):
+            rng = random.Random(67000 + k)
+            m, n = rng.randint(2, 6), rng.randint(1, 19)
+            if k % 3 == 2:
+                e = multiplicity_heavy(rng, m, 4, 4)
+            else:
+                e = generate(GeneratorSpec(MODELS[k // 3 % 3], m, n, 67000 + k)).election
+            for c in range(e.m):
+                solution = dodgson_score(e, c)
+                assert solution == plain_stage_search(e, c), f"seed {67000 + k} target {c}"
+
+    @settings(max_examples=150, deadline=None)
+    @given(elections())
+    def test_matches_plain_stage_search_property(self, e):
+        for c in range(e.m):
+            assert dodgson_score(e, c) == plain_stage_search(e, c)
+
+
+MULTIPLICITY_PROFILE = Election(
+    [(0, 3, 4, 2, 1, 5)] * 6
+    + [(1, 0, 3, 4, 5, 2)] * 5
+    + [(1, 2, 4, 3, 5, 0)] * 7
+    + [(5, 2, 1, 3, 4, 0)] * 2
+)
+
+
+class TestCliffs:
+    # Each took 2 to 37 s without the first-stage memo; the bound is
+    # generous for slow machines.
+    @pytest.mark.parametrize(
+        "e, target, score",
+        [
+            (generate(GeneratorSpec("impartial-culture", 7, 60, 1)).election, 2, 17),
+            (generate(GeneratorSpec("euclidean-1d", 6, 100, 1)).election, 3, 45),
+            (MULTIPLICITY_PROFILE, 5, 33),
+        ],
+        ids=["ic-m7-n60", "euclidean-m6-n100", "multiplicity-m6-n20"],
+    )
+    def test_finishes_fast(self, e, target, score):
+        start = time.perf_counter()
+        solution = dodgson_score(e, target)
+        assert time.perf_counter() - start < 5
+        assert solution.score == score
+        check_solution(e, target, solution)
