@@ -3,8 +3,10 @@
 Covers single-peaked and k-peaked profiles along an alternative axis,
 single-crossing and k-crossing profiles along the voter order, exact
 verification of Euclidean embeddings, group separability, and deletion
-distances to single-peakedness. Searches are exhaustive with documented
-capacity limits; recognition is exact.
+distances to single-peakedness. Recognition is exact. The axis searches are
+exhaustive with documented capacity limits; alternative deletion reuses the
+axis search on the kept alternatives. Group separability is polynomial and
+has no limit.
 
 Peak convention: a voter's utility along an axis is ``m - rank``, and the
 peak count is the number of strict local maxima of that sequence. A
@@ -23,7 +25,6 @@ from .elections import Election, PreferenceOrder
 from .errors import CapacityError
 
 AXIS_SEARCH_MAX_M = 10
-GROUP_SEP_MAX_M = 20
 VOTER_DELETION_MAX_N = 10
 ALT_DELETION_MAX_M = 8
 
@@ -52,9 +53,9 @@ def peak_count(order, axis) -> int:
 
 
 def _rank_tables(e: Election):
-    """Each distinct voter order with its 1-based rank of every alternative,
+    """The 1-based rank of every alternative in each distinct voter order,
     in order of first appearance."""
-    return [(order, [order.rank_of(a) for a in range(e.m)]) for order, _ in e.types()]
+    return [[order.rank_of(a) for a in range(e.m)] for order, _ in e.types()]
 
 
 def _one_peak(ranks, axis) -> bool:
@@ -76,15 +77,20 @@ def _one_peak(ranks, axis) -> bool:
 def is_single_peaked_wrt(e: Election, axis) -> bool:
     """True if every voter has exactly one peak along ``axis``."""
     axis = _as_axis(axis, e.m)
-    return all(_one_peak(ranks, axis) for _, ranks in _rank_tables(e))
+    return all(_one_peak(ranks, axis) for ranks in _rank_tables(e))
 
 
-def _single_peaked_axes(e: Election):
-    """Axes making ``e`` single-peaked, lexicographically, over all m!."""
-    if e.m > AXIS_SEARCH_MAX_M:
-        raise CapacityError(f"axis search limited to m <= {AXIS_SEARCH_MAX_M}, got {e.m}")
-    tables = [ranks for _, ranks in _rank_tables(e)]
-    for axis in permutations(range(e.m)):
+def _single_peaked_axes(tables, alternatives):
+    """Orders of the ascending ``alternatives`` along which every rank table
+    has one peak, lexicographically, over all of their permutations.
+
+    Restricting an order to some alternatives keeps their relative ranks,
+    so the full tables serve for any subset of the alternatives."""
+    if len(alternatives) > AXIS_SEARCH_MAX_M:
+        raise CapacityError(
+            f"axis search limited to m <= {AXIS_SEARCH_MAX_M}, got {len(alternatives)}"
+        )
+    for axis in permutations(alternatives):
         if all(_one_peak(ranks, axis) for ranks in tables):
             yield axis
 
@@ -94,12 +100,12 @@ def find_single_peaked_axis(e: Election):
 
     Exhaustive over all m! candidate axes.
     """
-    return next(_single_peaked_axes(e), None)
+    return next(_single_peaked_axes(_rank_tables(e), range(e.m)), None)
 
 
 def all_single_peaked_axes(e: Election):
     """Every axis making ``e`` single-peaked (reversal-closed by symmetry)."""
-    return list(_single_peaked_axes(e))
+    return list(_single_peaked_axes(_rank_tables(e), range(e.m)))
 
 
 @dataclass(frozen=True)
@@ -178,41 +184,33 @@ def verify_euclidean(e: Election, emb: EuclideanEmbedding) -> bool:
     return True
 
 
-def _subsets_lex(m):
-    """Nonempty proper subsets of 0..m-1 as sorted tuples, lexicographically."""
-
-    def rec(prefix, start):
-        for i in range(start, m):
-            sub = prefix + (i,)
-            if len(sub) < m:
-                yield sub
-                yield from rec(sub, i + 1)
-
-    yield from rec((), 0)
-
-
 def group_separable_split(e: Election):
     """First (lexicographic) nonempty proper group A such that every voter
-    ranks all of A above all of its complement or vice versa, or None."""
-    if e.m > GROUP_SEP_MAX_M:
-        raise CapacityError(f"group separability limited to m <= {GROUP_SEP_MAX_M}, got {e.m}")
-    prefixes = [
-        [frozenset(v.ranking[:s]) for s in range(e.m + 1)] for v in e.voters
-    ]
-    suffixes = [
-        [frozenset(v.ranking[e.m - s :]) for s in range(e.m + 1)] for v in e.voters
-    ]
-    for sub in _subsets_lex(e.m):
-        group = frozenset(sub)
-        s = len(sub)
-        ok = all(
-            prefixes[vi][s] == group or suffixes[vi][s] == group
-            for vi in range(e.n)
+    ranks all of A above all of its complement or vice versa, or None.
+
+    Such a group is a top or bottom segment of every order (Inada 1964),
+    so only the 2(m - 1) segments of the first voter's order are tried,
+    each against every distinct order: a set of s alternatives is an
+    order's top segment when its worst rank is s, its bottom segment when
+    its best rank is m - s + 1.
+    """
+    m = e.m
+    tables = _rank_tables(e)
+    first = e.voters[0].ranking
+    segments = [first[:s] for s in range(1, m)] + [first[s:] for s in range(1, m)]
+    valid = [
+        tuple(sorted(seg))
+        for seg in segments
+        if all(
+            max(ranks[a] for a in seg) == len(seg)
+            or min(ranks[a] for a in seg) == m - len(seg) + 1
+            for ranks in tables
         )
-        if ok:
-            rest = tuple(c for c in range(e.m) if c not in group)
-            return sub, rest
-    return None
+    ]
+    if not valid:
+        return None
+    group = min(valid)
+    return group, tuple(c for c in range(m) if c not in group)
 
 
 def sp_deletion_distance(e: Election, mode: str):
@@ -232,7 +230,8 @@ def sp_deletion_distance(e: Election, mode: str):
         voters_of = {}
         for i, v in enumerate(e.voters):
             voters_of.setdefault(v, []).append(i)
-        tables = [(voters_of[order], ranks) for order, ranks in _rank_tables(e)]
+        # ``voters_of`` and ``_rank_tables`` both follow first appearance.
+        tables = list(zip(voters_of.values(), _rank_tables(e)))
         best = (e.n + 1, ())
         for axis in permutations(range(e.m)):
             dropped, size = [], 0
@@ -247,21 +246,15 @@ def sp_deletion_distance(e: Election, mode: str):
                 if not size:
                     break
         return best
-    if mode == "alternatives":
-        if e.m > ALT_DELETION_MAX_M:
-            raise CapacityError(f"alternative deletion limited to m <= {ALT_DELETION_MAX_M}")
-        for size in range(e.m - 1):
-            for drop in combinations(range(e.m), size):
-                keep = [c for c in range(e.m) if c not in drop]
-                relabel = {c: i for i, c in enumerate(keep)}
-                reduced = Election(
-                    [
-                        [relabel[c] for c in v.ranking if c in relabel]
-                        for v in e.voters
-                    ]
-                )
-                if find_single_peaked_axis(reduced) is not None:
-                    return size, drop
-        # Unreachable: two alternatives are always single-peaked.
-        raise AssertionError("no two-alternative restriction was single-peaked")
-    raise ValueError(f"unknown mode {mode!r}")
+    if mode != "alternatives":
+        raise ValueError(f"unknown mode {mode!r}")
+    if e.m > ALT_DELETION_MAX_M:
+        raise CapacityError(f"alternative deletion limited to m <= {ALT_DELETION_MAX_M}")
+    # One or two alternatives are always single-peaked, so a drop set of
+    # size max(0, m - 2) ends the loop.
+    tables = _rank_tables(e)
+    for size in range(e.m):
+        for drop in combinations(range(e.m), size):
+            keep = [c for c in range(e.m) if c not in drop]
+            if next(_single_peaked_axes(tables, keep), None) is not None:
+                return size, drop

@@ -98,7 +98,6 @@ class TestCapacityLimits:
             (9, ["kemeny", "--method", "brute-force"]),
             (25, ["kemeny"]),
             (11, ["structure", "--check", "sp"]),
-            (21, ["structure", "--check", "separable"]),
         ],
     )
     def test_over_limit_input_is_capacity_error(self, tmp_path, capsys, m, argv):
@@ -106,6 +105,13 @@ class TestCapacityLimits:
         captured = capsys.readouterr()
         assert code == 3 and captured.out == ""
         assert captured.err.startswith("capacity error:") and captured.err.count("\n") == 1
+
+    def test_separable_has_no_limit(self, tmp_path, capsys):
+        code, payload = run_json(
+            capsys, "structure", "--check", "separable", "--in", over_limit(tmp_path, 21)
+        )
+        assert code == 0
+        assert payload == {"separable": True, "groups": [[0], list(range(1, 21))]}
 
     @pytest.mark.parametrize("argv", [["kemeny"], ["structure", "--check", "sp"]])
     def test_limit_flag_is_rejected(self, capsys, argv):
@@ -438,6 +444,14 @@ class TestInputVariants:
             _sys.stdin = _sys.__stdin__
         assert code == 0
         assert payload["distance"] == 1 and payload["mode"] == "alternatives"
+
+    def test_sp_alternative_deletion_single_alternative(self, capsys, monkeypatch):
+        import io
+
+        monkeypatch.setattr("sys.stdin", io.StringIO("1 2\n0\n0\n"))
+        code, payload = run_json(capsys, "structure", "--in", "-", "--check", "sp-alts")
+        assert code == 0
+        assert payload == {"distance": 0, "witness": [], "mode": "alternatives"}
 
 
 class TestErrorsAndSchemas:

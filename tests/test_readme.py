@@ -18,7 +18,6 @@ CAPACITY_ROWS = {
     ],
     "`swap_bribery`, `shift_bribery`": [bribery.BRANCH_MAX_N],
     "`find_single_peaked_axis`": [structure.AXIS_SEARCH_MAX_M],
-    "`group_separable_split`": [structure.GROUP_SEP_MAX_M],
     "`parse_preflib_soc`": [fileio.PREFLIB_MAX_VOTERS],
     "`sp_deletion_distance`": [structure.VOTER_DELETION_MAX_N, structure.ALT_DELETION_MAX_M],
     "`ccdv_bruteforce`": [control.BRUTE_FORCE_MAX_SUBSETS],

@@ -65,6 +65,72 @@ def per_voter_deletion(e):
     return best
 
 
+def subset_group_split(e):
+    """Oracle: the nonempty proper subsets as sorted tuples, walked
+    depth-first (lexicographically), until one is a top or bottom segment of
+    every voter's order."""
+    prefixes = [[frozenset(v.ranking[:s]) for s in range(e.m + 1)] for v in e.voters]
+    suffixes = [[frozenset(v.ranking[e.m - s :]) for s in range(e.m + 1)] for v in e.voters]
+
+    def walk(prefix, start):
+        for i in range(start, e.m):
+            sub = prefix + (i,)
+            if len(sub) < e.m:
+                yield sub
+                yield from walk(sub, i + 1)
+
+    for sub in walk((), 0):
+        group, s = frozenset(sub), len(sub)
+        if all(prefixes[vi][s] == group or suffixes[vi][s] == group for vi in range(e.n)):
+            return sub, tuple(c for c in range(e.m) if c not in group)
+    return None
+
+
+def rebuilt_alternative_deletion(e):
+    """Oracle: alternative drop sets by size, then lexicographically, each
+    relabelled into a fresh election until one has a single-peaked axis."""
+    for size in range(e.m):
+        for drop in combinations(range(e.m), size):
+            keep = [c for c in range(e.m) if c not in drop]
+            relabel = {c: i for i, c in enumerate(keep)}
+            reduced = Election([[relabel[c] for c in v.ranking if c in relabel] for v in e.voters])
+            if find_single_peaked_axis(reduced) is not None:
+                return size, drop
+    raise AssertionError("one or two alternatives are always single-peaked")
+
+
+def recursive_split_profile(rng, m, n):
+    """Group-separable by construction: one random binary tree of groups
+    over shuffled alternatives; each voter orders the two children of every
+    node either way round."""
+    alts = rng.sample(range(m), m)
+
+    def tree(group):
+        if len(group) == 1:
+            return group[0]
+        k = rng.randint(1, len(group) - 1)
+        return tree(group[:k]), tree(group[k:])
+
+    def order(node):
+        if isinstance(node, int):
+            return [node]
+        left, right = order(node[0]), order(node[1])
+        return left + right if rng.random() < 0.5 else right + left
+
+    root = tree(alts)
+    return Election([order(root) for _ in range(n)])
+
+
+def model_profiles(base_seed, count, max_m, max_n):
+    """Seeded impartial-culture, single-peaked and Euclidean profiles with
+    m from 1 to ``max_m``."""
+    for k in range(count):
+        seed = base_seed + k
+        rng = random.Random(seed)
+        m, n = rng.randint(1, max_m), rng.randint(1, max_n)
+        yield seed, generate(GeneratorSpec(MODELS[k % 3], m, n, seed)).election
+
+
 def typed_profiles(base_seed, count, max_m, max_n):
     """Seeded profiles of all three models, every third one rebuilt from a
     few orders with heavy multiplicities."""
@@ -288,10 +354,37 @@ class TestGroupSeparable:
         e = Election([(0, 1, 2), (1, 2, 0), (2, 0, 1)])
         assert group_separable_split(e) is None
 
-    def test_capacity_limit(self):
-        e = Election([tuple(range(21))])
-        with pytest.raises(CapacityError):
-            group_separable_split(e)
+    def test_wide_profiles_under_one_second(self):
+        ic = generate(GeneratorSpec("impartial-culture", 40, 5, 1)).election
+        mirror = Election([tuple(range(40)), tuple(reversed(range(40)))])
+        for e, expected in [(ic, None), (mirror, ((0,), tuple(range(1, 40))))]:
+            start = time.perf_counter()
+            assert group_separable_split(e) == expected
+            assert time.perf_counter() - start < 1
+
+    def test_matches_subset_oracle(self):
+        for seed, e in model_profiles(79000, 300, 9, 12):
+            assert group_separable_split(e) == subset_group_split(e), f"seed {seed}"
+
+    def test_matches_subset_oracle_on_recursive_splits(self):
+        for k in range(200):
+            rng = random.Random(80000 + k)
+            e = recursive_split_profile(rng, rng.randint(1, 9), rng.randint(1, 12))
+            split = group_separable_split(e)
+            assert split == subset_group_split(e), f"seed {80000 + k}"
+            assert (split is None) == (e.m == 1), f"seed {80000 + k}"
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 6), st.integers(1, 6), st.randoms(use_true_random=False), st.data())
+    def test_property_matches_oracles(self, m, n, rng, data):
+        # A separable profile, then up to two arbitrary voters that may
+        # break its groups.
+        voters = list(recursive_split_profile(rng, m, n).voters)
+        for _ in range(data.draw(st.integers(0, 2))):
+            voters.append(data.draw(st.permutations(range(m))))
+        e = Election(voters)
+        assert group_separable_split(e) == subset_group_split(e)
+        assert sp_deletion_distance(e, "alternatives") == rebuilt_alternative_deletion(e)
 
 
 class TestDeletionDistance:
@@ -321,6 +414,15 @@ class TestDeletionDistance:
         distance, witness = sp_deletion_distance(e, "alternatives")
         assert distance == 1
 
+    def test_single_alternative_needs_no_deletion(self):
+        e = Election([(0,)] * 3)
+        assert sp_deletion_distance(e, "alternatives") == (0, ())
+        assert sp_deletion_distance(e, "voters") == (0, ())
+
+    def test_alternatives_match_rebuild_oracle(self):
+        for seed, e in model_profiles(81000, 120, 8, 10):
+            assert sp_deletion_distance(e, "alternatives") == rebuilt_alternative_deletion(e), f"seed {seed}"
+
     def test_unknown_mode(self, election_sp_5x3):
         with pytest.raises(ValueError):
             sp_deletion_distance(election_sp_5x3, "swaps")
@@ -334,11 +436,8 @@ class TestDeletionDistance:
             sp_deletion_distance(tall, "voters")
 
     def test_voters_match_subset_oracle(self):
-        for k in range(90):
-            rng = random.Random(76000 + k)
-            m, n = rng.randint(1, 6), rng.randint(1, 9)
-            e = generate(GeneratorSpec(MODELS[k % 3], m, n, 76000 + k)).election
-            assert sp_deletion_distance(e, "voters") == subset_voter_deletion(e), f"seed {76000 + k}"
+        for seed, e in model_profiles(76000, 90, 6, 9):
+            assert sp_deletion_distance(e, "voters") == subset_voter_deletion(e), f"seed {seed}"
 
     def test_voters_match_per_voter_oracle(self):
         for seed, e in typed_profiles(78000, 90, 6, 10):
