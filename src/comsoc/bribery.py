@@ -30,13 +30,24 @@ its cost plus the dearest rival's catch-up cost reaches the incumbent or
 exceeds the budget. The bound never exceeds the cost of a winning
 completion, so the first optimal plan in search order survives and the
 returned plan is the one the search finds without the bound.
+
+Unit and priced bribery try voter subsets in (cost, index tuple) order and
+ask :func:`_rewrite_feasible` whether some rewrite of the subset, with the
+preferred alternative on top, makes it win. That search assigns the
+orderings of the rivals to the bribed voters. It tries only nondecreasing
+sequences of orderings: the voters are interchangeable and points only
+grow along a path, so the lexicographically first feasible sequence is
+sorted. It cuts a node when the ``t`` smallest rival slacks sum to less
+than what any rewrites of the voters left must give ``t`` rivals. Both
+cuts drop only sequences that cannot come first, so the plans are those
+of the search over every sequence.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import combinations, permutations
+from itertools import accumulate, combinations, permutations
 
 from .elections import Election, PreferenceOrder, ScoringVector, _tally, _wins
 from .errors import CapacityError
@@ -439,47 +450,69 @@ def shift_bribery(
     return _finish_plan(e, rule, p, "shift", actions, best_cost, unique)
 
 
-def _rewrite_feasible(e, alpha, p, subset, unique):
+def _rewrite_tables(alpha, p):
+    """The rewrites ``_rewrite_feasible`` tries, built once per solve.
+
+    Returns ``(orders, columns, low)``: the orders with ``p`` on top in
+    lexicographic order; per order, the points it gives each rival (the
+    other alternatives, ascending); and ``low[t - 1]``, the sum of the
+    ``t`` smallest entries of ``alpha[1:]``, which is the least that any
+    rewrite gives ``t`` rivals together.
+    """
+    rivals = [c for c in range(len(alpha)) if c != p]
+    orders = [(p,) + perm for perm in permutations(rivals)]
+    columns = [tuple(alpha[order.index(c)] for c in rivals) for order in orders]
+    return orders, columns, list(accumulate(reversed(alpha[1:])))
+
+
+def _rewrite_feasible(e, alpha, p, subset, unique, tables):
     """Whether some rewrite of ``subset`` (preferred alternative on top)
     makes it win; returns the rewritten orders or None.
 
     Putting the preferred alternative first is never worse: it maximizes
-    its own points and weakly lowers everyone else. Remaining positions
-    are searched exhaustively, cutting as soon as a rival provably
-    overshoots.
+    its own points and weakly lowers everyone else. Each rival's slack is
+    how many more points it may take and still lose to ``p`` (tie with it,
+    unless ``unique``). The search assigns one order of ``tables`` (see
+    :func:`_rewrite_tables`) to each voter of ``subset``, ascending, and
+    returns the lexicographically first sequence of orders that leaves no
+    slack negative. Two cuts make it fast:
+
+    * Symmetry: only nondecreasing sequences are tried. The bribed voters
+      are interchangeable and points only grow along a path, so sorting a
+      feasible sequence keeps it feasible; the first feasible sequence is
+      therefore already sorted.
+    * Sorted slack: with ``r`` voters still to assign, any ``t`` rivals
+      together take at least ``r * low[t - 1]`` more points. A node is cut
+      when, for some ``t``, the ``t`` smallest slacks sum to less. With
+      ``r = 0`` this is the test that some slack is negative.
+
+    Both cuts drop only sequences that cannot come first, so the witness is
+    the one the full search returns.
     """
-    m = e.m
+    orders, columns, low = tables
     fixed = [v.ranking for i, v in enumerate(e.voters) if i not in subset]
-    scores = _tally(fixed, alpha, m)
-    p_final = scores[p] + len(subset) * alpha[0]
-    rivals = [c for c in range(m) if c != p]
-    subset = sorted(subset)
+    scores = _tally(fixed, alpha, e.m)
+    p_final = scores[p] + len(subset) * alpha[0] - unique
+    chosen = []
 
-    def overshoot(sc):
-        for c in rivals:
-            if sc[c] > p_final or (unique and sc[c] == p_final):
-                return True
-        return False
-
-    found = []
-
-    def rec(idx, sc):
-        if overshoot(sc):
-            return False
-        if idx == len(subset):
+    def rec(r, start, slack):
+        total = 0
+        for need, s in zip(low, sorted(slack)):
+            total += s
+            if total < r * need:
+                return False
+        if r == 0:
             return True
-        for perm in permutations(rivals):
-            sc2 = list(sc)
-            for pos, alt in enumerate(perm, start=1):
-                sc2[alt] += alpha[pos]
-            if rec(idx + 1, sc2):
-                found.append((subset[idx], (p,) + perm))
+        for j in range(start, len(columns)):
+            if rec(r - 1, j, [s - c for s, c in zip(slack, columns[j])]):
+                chosen.append(j)
                 return True
         return False
 
-    if rec(0, scores):
-        return {vi: PreferenceOrder(order) for vi, order in found}
-    return None
+    if not rec(len(subset), 0, [p_final - scores[c] for c in range(e.m) if c != p]):
+        return None
+    # ``chosen`` fills from the last voter back.
+    return {vi: PreferenceOrder(orders[j]) for vi, j in zip(sorted(subset), reversed(chosen))}
 
 
 def unit_or_priced_bribery(
@@ -512,8 +545,9 @@ def unit_or_priced_bribery(
         if (cost := sum(prices[v] for v in subset)) <= budget.limit
     )
 
+    tables = _rewrite_tables(alpha, p)
     for cost, subset in subsets:
-        rewrites = _rewrite_feasible(e, alpha, p, set(subset), unique)
+        rewrites = _rewrite_feasible(e, alpha, p, set(subset), unique, tables)
         if rewrites is None:
             continue
         actions = [VoterAction(vi, order, prices[vi]) for vi, order in sorted(rewrites.items())]

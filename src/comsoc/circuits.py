@@ -132,10 +132,13 @@ def wcs_solve(circuit: Circuit, k: int):
     """First weight-k satisfying assignment, by variable declaration order.
 
     Returns the true variables as a tuple, or None. Weight is exact: the
-    assignment sets exactly ``k`` variables true.
+    assignment sets exactly ``k`` variables true, so ``k`` above the
+    variable count has no solution. A negative ``k`` raises ValueError.
     """
+    if k < 0:
+        raise ValueError(f"weight k must be nonnegative, got {k}")
     n = circuit.n_variables
-    if not 0 <= k <= n:
+    if k > n:
         return None
     if comb(n, k) > WCS_MAX_COMBINATIONS:
         raise CapacityError(f"C({n}, {k}) assignments exceed limit {WCS_MAX_COMBINATIONS}")

@@ -6,6 +6,11 @@ Output is a single JSON object with sorted keys and compact separators,
 so identical invocations are byte-identical.
 ``--json-schema`` on any subcommand prints its output schema instead of
 running.
+
+A call pays only for the subcommand it runs: each handler imports the
+solver modules it needs when it runs, so ``import comsoc.cli`` loads no
+solver, and :func:`main` builds the parser on its first call and reuses
+it for the rest of the process.
 """
 
 from __future__ import annotations
@@ -14,38 +19,7 @@ import argparse
 import json
 import sys
 
-from .bribery import (
-    BriberyBudget,
-    ShiftPriceFunction,
-    SwapPriceFunction,
-    shift_bribery,
-    swap_bribery,
-    unit_or_priced_bribery,
-)
-from .cake import check_fairness, cut_and_choose, last_diminisher, welfare
-from .circuits import MabInstance, mab_solve, wcs_solve
-from .control import ControlInstance, ccdv_fpt
-from .dodgson import dodgson_score
-from .elections import Election, ScoringVector, condorcet_winner, scoring_winners
 from .errors import CapacityError, ParseError
-from .fileio import (
-    format_fraction,
-    parse_circuit,
-    parse_densities,
-    parse_election,
-    parse_preflib_soc,
-    write_election,
-)
-from .generators import GeneratorSpec, generate
-from .kemeny import avg_pairwise_distance, kemeny_brute_force, kemeny_dp
-from .schemas import SCHEMAS, validate_json
-from .structure import (
-    find_single_peaked_axis,
-    group_separable_split,
-    is_single_peaked_wrt,
-    single_crossing_report,
-    sp_deletion_distance,
-)
 
 OK = 0
 NO_SOLUTION = 1
@@ -58,6 +32,8 @@ def _write_json(obj):
 
 
 def _emit(subcommand, payload):
+    from .schemas import SCHEMAS, validate_json
+
     validate_json(payload, SCHEMAS[subcommand])
     _write_json(payload)
 
@@ -84,6 +60,9 @@ def _int_rows(payload, key):
 
 
 def _read_election(args) -> Election:
+    from .elections import Election
+    from .fileio import parse_election, parse_preflib_soc
+
     text = _read_text(args.infile)
     if getattr(args, "preflib", False):
         return parse_preflib_soc(text)
@@ -97,6 +76,8 @@ def _read_election(args) -> Election:
 
 
 def _rule(args, m) -> ScoringVector:
+    from .elections import ScoringVector
+
     if args.rule == "plurality":
         return ScoringVector.plurality(m)
     if args.rule == "borda":
@@ -107,6 +88,8 @@ def _rule(args, m) -> ScoringVector:
 
 
 def _cmd_winners(args):
+    from .elections import condorcet_winner, scoring_winners
+
     e = _read_election(args)
     result = scoring_winners(e, _rule(args, e.m))
     payload = {
@@ -124,6 +107,8 @@ def _cmd_winners(args):
 
 
 def _cmd_kemeny(args):
+    from .kemeny import avg_pairwise_distance, kemeny_brute_force, kemeny_dp
+
     e = _read_election(args)
     if args.method == "brute-force":
         result = kemeny_brute_force(e)
@@ -140,6 +125,8 @@ def _cmd_kemeny(args):
 
 
 def _cmd_dodgson(args):
+    from .dodgson import dodgson_score
+
     e = _read_election(args)
     targets = range(e.m) if args.target is None else [args.target]
     scores = []
@@ -157,6 +144,8 @@ def _cmd_dodgson(args):
 
 
 def _cmd_ccdv(args):
+    from .control import ControlInstance, ccdv_fpt
+
     e = _read_election(args)
     instance = ControlInstance(e, args.d, args.target, args.k)
     witness = ccdv_fpt(instance, unique=args.unique_winner)
@@ -172,6 +161,15 @@ def _cmd_ccdv(args):
 
 
 def _cmd_bribe(args):
+    from .bribery import (
+        BriberyBudget,
+        ShiftPriceFunction,
+        SwapPriceFunction,
+        shift_bribery,
+        swap_bribery,
+        unit_or_priced_bribery,
+    )
+
     e = _read_election(args)
     rule = _rule(args, e.m)
     prices = json.loads(_read_text(args.prices)) if args.prices else {}
@@ -221,6 +219,14 @@ def _cmd_bribe(args):
 
 
 def _cmd_structure(args):
+    from .structure import (
+        find_single_peaked_axis,
+        group_separable_split,
+        is_single_peaked_wrt,
+        single_crossing_report,
+        sp_deletion_distance,
+    )
+
     e = _read_election(args)
     if args.check == "sp":
         if args.axis:
@@ -253,6 +259,8 @@ def _cmd_structure(args):
 
 
 def _cmd_mab(args):
+    from .circuits import MabInstance, mab_solve
+
     payload_in = json.loads(_read_text(args.infile))
     if not isinstance(payload_in, dict):
         raise ValueError("a mab instance must be a JSON object")
@@ -270,6 +278,9 @@ def _cmd_mab(args):
 
 
 def _cmd_wcs(args):
+    from .circuits import wcs_solve
+    from .fileio import parse_circuit
+
     circuit = parse_circuit(_read_text(args.infile))
     if args.metrics:
         metrics = circuit.metrics()
@@ -288,6 +299,9 @@ def _cmd_wcs(args):
 
 
 def _cmd_cake(args):
+    from .cake import check_fairness, cut_and_choose, last_diminisher, welfare
+    from .fileio import format_fraction, parse_densities
+
     densities = parse_densities(_read_text(args.infile))
     if args.protocol == "cut-and-choose":
         division = cut_and_choose(densities)
@@ -313,6 +327,9 @@ def _cmd_cake(args):
 
 
 def _cmd_gen(args):
+    from .fileio import format_fraction, write_election
+    from .generators import GeneratorSpec, generate
+
     axis = tuple(int(t) for t in args.axis.split(",")) if args.axis else None
     spec = GeneratorSpec(model=args.model, m=args.m, n=args.n, seed=args.seed, axis=axis)
     result = generate(spec)
@@ -420,10 +437,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# parse_args leaves the parser as it was, so one serves every call.
+_parser = None
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     if args.json_schema:
+        from .schemas import SCHEMAS
+
         _write_json(SCHEMAS[args.command])
         return OK
     try:

@@ -28,8 +28,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .cake import PiecewisePolyDensity
-from .circuits import Circuit
 from .elections import Election, PreferenceOrder
 from .errors import CapacityError, ParseError
 
@@ -166,6 +164,8 @@ def parse_preflib_soc(text: str) -> Election:
 
 
 def parse_circuit(text: str) -> Circuit:
+    from .circuits import Circuit
+
     lines = _significant_lines(text)
     if not lines:
         raise ParseError("empty circuit file")
@@ -220,6 +220,8 @@ def format_fraction(value: Fraction) -> str:
 
 def parse_densities(text: str):
     """List of per-player densities from the block format."""
+    from .cake import PiecewisePolyDensity
+
     lines = _significant_lines(text)
     if not lines:
         raise ParseError("empty density file")

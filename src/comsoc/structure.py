@@ -82,7 +82,13 @@ def is_single_peaked_wrt(e: Election, axis) -> bool:
 
 def _single_peaked_axes(tables, alternatives):
     """Orders of the ascending ``alternatives`` along which every rank table
-    has one peak, lexicographically, over all of their permutations.
+    has one peak, lexicographically, one of each axis and its reversal.
+
+    An order is single-peaked along an axis exactly when it is along the
+    reversed axis, so only axes whose first entry is at most their last
+    are tested. The lexicographically first valid axis is among them: a
+    valid axis with a larger first entry has a valid, smaller reversal.
+    A single alternative is its own reversal, hence "at most".
 
     Restricting an order to some alternatives keeps their relative ranks,
     so the full tables serve for any subset of the alternatives."""
@@ -91,21 +97,25 @@ def _single_peaked_axes(tables, alternatives):
             f"axis search limited to m <= {AXIS_SEARCH_MAX_M}, got {len(alternatives)}"
         )
     for axis in permutations(alternatives):
-        if all(_one_peak(ranks, axis) for ranks in tables):
+        if axis[0] <= axis[-1] and all(_one_peak(ranks, axis) for ranks in tables):
             yield axis
 
 
 def find_single_peaked_axis(e: Election):
     """Lexicographically first axis making ``e`` single-peaked, or None.
 
-    Exhaustive over all m! candidate axes.
+    Exhaustive over the m!/2 candidate axes up to reversal.
     """
     return next(_single_peaked_axes(_rank_tables(e), range(e.m)), None)
 
 
 def all_single_peaked_axes(e: Election):
-    """Every axis making ``e`` single-peaked (reversal-closed by symmetry)."""
-    return list(_single_peaked_axes(_rank_tables(e), range(e.m)))
+    """Every axis making ``e`` single-peaked, sorted; the set is closed
+    under reversal."""
+    found = set()
+    for axis in _single_peaked_axes(_rank_tables(e), range(e.m)):
+        found.update((axis, axis[::-1]))
+    return sorted(found)
 
 
 @dataclass(frozen=True)

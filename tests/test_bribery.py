@@ -688,14 +688,103 @@ class TestBoundedSearch:
         assert solve() == with_plain_search(solve)
 
 
+def full_rewrite_feasible(e, alpha, p, subset, unique, tables=None):
+    """Oracle: the rewrite search over every sequence of rival orderings,
+    cut only when a rival overshoots. ``tables`` is ignored; it is there so
+    that this can stand in for the solver's search."""
+    m = e.m
+    fixed = [v.ranking for i, v in enumerate(e.voters) if i not in subset]
+    scores = bribery._tally(fixed, alpha, m)
+    p_final = scores[p] + len(subset) * alpha[0]
+    rivals = [c for c in range(m) if c != p]
+    subset = sorted(subset)
+
+    def overshoot(sc):
+        for c in rivals:
+            if sc[c] > p_final or (unique and sc[c] == p_final):
+                return True
+        return False
+
+    found = []
+
+    def rec(idx, sc):
+        if overshoot(sc):
+            return False
+        if idx == len(subset):
+            return True
+        for perm in permutations(rivals):
+            sc2 = list(sc)
+            for pos, alt in enumerate(perm, start=1):
+                sc2[alt] += alpha[pos]
+            if rec(idx + 1, sc2):
+                found.append((subset[idx], (p,) + perm))
+                return True
+        return False
+
+    if rec(0, scores):
+        return {vi: PreferenceOrder(order) for vi, order in found}
+    return None
+
+
+def with_full_rewrite_search(solve):
+    """Run ``solve()`` with the full rewrite search in place of the solver's."""
+    cut = bribery._rewrite_feasible
+    bribery._rewrite_feasible = full_rewrite_feasible
+    try:
+        return solve()
+    finally:
+        bribery._rewrite_feasible = cut
+
+
+# As BUDGETS, plus 2 and 5: unit plans at these sizes often cost 2 to 5.
+REWRITE_BUDGETS = (0, 1, 2, 3, 5, 1000)
+
+
+class TestRewriteSearch:
+    def test_plans_match_full_search(self):
+        rng = random.Random(34)
+        found = 0
+        for trial in range(300):
+            m = rng.randint(1, 4)
+            n = rng.randint(1, 6)
+            e = random_election(rng, m, n)
+            rule = random_rule(rng, m)
+            p = rng.randrange(m)
+            unique = rng.random() < 0.5
+            # Every other instance is priced, zero prices included.
+            prices = None if trial % 2 else tuple(rng.randint(0, 3) for _ in range(n))
+            budget = BriberyBudget(rng.choice(REWRITE_BUDGETS), prices)
+            plan = unit_or_priced_bribery(e, rule, p, budget, unique)
+            assert plan == with_full_rewrite_search(
+                lambda: unit_or_priced_bribery(e, rule, p, budget, unique)
+            ), f"trial {trial}"
+            found += plan is not None and len(plan.actions) > 1
+        # Plans that rewrite two or more voters exercise the symmetry cut.
+        assert found >= 20
+
+    @settings(max_examples=60, deadline=None)
+    @given(elections(max_m=4, max_n=6), st.data())
+    def test_plans_match_full_search_property(self, e, data):
+        p = data.draw(st.integers(0, e.m - 1))
+        unique = data.draw(st.booleans())
+        points = data.draw(st.lists(st.integers(0, 3), min_size=e.m, max_size=e.m))
+        rule = ScoringVector(tuple(sorted(points, reverse=True)))
+        prices = data.draw(
+            st.none() | st.lists(st.integers(0, 3), min_size=e.n, max_size=e.n).map(tuple)
+        )
+        budget = BriberyBudget(data.draw(st.sampled_from(REWRITE_BUDGETS)), prices)
+        solve = lambda: unit_or_priced_bribery(e, rule, p, budget, unique)
+        assert solve() == with_full_rewrite_search(solve)
+
+
 def lowest_borda_scorer(e):
     scores = scoring_winners(e, ScoringVector.borda(e.m)).scores
     return min(range(e.m), key=lambda c: (scores[c], c))
 
 
 class TestCliffs:
-    """The two former cliff instances, each once over 30 s for the search
-    that cut on cost alone."""
+    """Former cliff instances: the swap and shift rows each took over 30 s
+    for the search that cut on cost alone."""
 
     def test_swap_impartial_culture_m5_n10(self):
         e = generate(GeneratorSpec("impartial-culture", 5, 10, 1)).election
@@ -743,6 +832,26 @@ class TestCliffs:
         start = time.perf_counter()
         assert shift_bribery(e, rule, p, tariffs, plan.cost - 1) is None
         assert time.perf_counter() - start < 5
+
+
+    @pytest.mark.parametrize("n, cost", [(14, 6), (16, 7)])
+    def test_unit_single_peaked_m6(self, n, cost):
+        # Over 20 s (n = 14) and over 100 s (n = 16) for the full rewrite
+        # search.
+        e = generate(GeneratorSpec("single-peaked", 6, n, 1)).election
+        rule, p = ScoringVector.borda(6), lowest_borda_scorer(e)
+        start = time.perf_counter()
+        plan = unit_or_priced_bribery(e, rule, p, BriberyBudget(n))
+        assert time.perf_counter() - start < 2
+        assert plan.cost == cost == len(plan.actions)
+        rebuilt = [v.ranking for v in e.voters]
+        for action in plan.actions:
+            assert action.new_order.ranking[0] == p
+            rebuilt[action.voter] = action.new_order.ranking
+        assert oracle_wins(oracle_tally(rebuilt, rule.alpha, e.m), p)
+        start = time.perf_counter()
+        assert unit_or_priced_bribery(e, rule, p, BriberyBudget(cost - 1)) is None
+        assert time.perf_counter() - start < 2
 
 
 def test_losing_plan_is_refused_under_optimize():

@@ -217,6 +217,11 @@ class TestWcs:
         c = Circuit([("x0", "INPUT", ())], "x0")
         assert wcs_solve(c, 2) is None
 
+    def test_negative_weight_rejected(self):
+        c = Circuit([("x0", "INPUT", ())], "x0")
+        with pytest.raises(ValueError, match="nonnegative"):
+            wcs_solve(c, -1)
+
     def test_capacity_limit(self):
         variables = [(f"x{i}", "INPUT", ()) for i in range(40)]
         c = Circuit(variables + [("g", "ORBIG", tuple(f"x{i}" for i in range(40)))], "g")

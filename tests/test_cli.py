@@ -131,7 +131,7 @@ class TestDodgson:
 
     @pytest.mark.parametrize("target", [[], ["--target", "2"]])
     def test_no_solution_is_exit_code_not_traceback(self, capsys, monkeypatch, target):
-        monkeypatch.setattr("comsoc.cli.dodgson_score", lambda e, c: None)
+        monkeypatch.setattr("comsoc.dodgson.dodgson_score", lambda e, c: None)
         code = main(["dodgson", "--in", E4X3, *target])
         captured = capsys.readouterr()
         assert code == 1
@@ -343,6 +343,13 @@ class TestMabWcsCake:
         code, payload = run_json(capsys, "wcs", "--in", CIRCUIT, "--weight", "0")
         assert code == 1 and payload["yes"] is False
 
+    def test_wcs_negative_weight_is_input_error(self, capsys):
+        code = main(["wcs", "--in", CIRCUIT, "--weight", "-1"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("input error:")
+
     def test_cake_protocols(self, capsys):
         for protocol in ("cut-and-choose", "last-diminisher"):
             code, payload = run_json(
@@ -505,3 +512,99 @@ def test_cli_determinism_across_processes():
     second = subprocess.run(cmd, capture_output=True, check=True, env=env)
     assert first.stdout == second.stdout
     assert first.stdout.endswith(b"\n")
+
+
+def fresh_modules(code):
+    """The ``comsoc`` modules a fresh interpreter holds after running ``code``
+    (which must leave stdout alone or end with a newline)."""
+    script = code + "\nimport json, sys\nprint(json.dumps([m for m in sys.modules if m.startswith('comsoc')]))"
+    out = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True, text=True, check=True, env=src_env(), timeout=60,
+    ).stdout
+    return set(json.loads(out.splitlines()[-1]))
+
+
+# Every module that runs a solver; the command line imports each one only
+# in the subcommands that call it.
+SOLVER_MODULES = {
+    f"comsoc.{name}"
+    for name in (
+        "bribery", "cake", "circuits", "control", "dodgson", "elections",
+        "generators", "kemeny", "structure",
+    )
+}
+
+# The package's public names at the time its exports became lazy.
+EXPORTS = {
+    "bribery": "BriberyBudget BriberyPlan ShiftPriceFunction SwapPriceFunction apply_swap_sequence"
+    " min_cost_to_target shift_bribery swap_bribery unit_or_priced_bribery",
+    "cake": "Division FairnessReport Piece PiecewisePolyDensity check_fairness cut_and_choose"
+    " cut_query last_diminisher measure welfare",
+    "circuits": "Circuit CircuitMetrics MabInstance mab_solve mab_to_majority_circuit wcs_solve",
+    "control": "ApprovalView ControlInstance RelevanceSplit approval_view ccdv_bruteforce"
+    " ccdv_fpt reduce_instance relevance_split",
+    "dodgson": "DodgsonProgram DodgsonSolution build_program dodgson_bruteforce"
+    " dodgson_decision dodgson_score",
+    "elections": "Election MajorityMatrix PreferenceOrder ScoringResult ScoringVector"
+    " condorcet_winner is_winner kendall_tau majority_matrix scoring_winners sum_kendall_tau",
+    "errors": "CapacityError ParseError",
+    "generators": "GeneratedElection GeneratorSpec generate",
+    "kemeny": "KemenyResult avg_pairwise_distance kemeny_brute_force kemeny_decision kemeny_dp",
+    "structure": "EuclideanEmbedding all_single_peaked_axes find_single_peaked_axis"
+    " group_separable_split is_single_peaked_wrt peak_count single_crossing_report"
+    " sp_deletion_distance verify_euclidean",
+}
+
+
+class TestStartup:
+    def test_import_loads_no_solver(self):
+        assert fresh_modules("import comsoc.cli") == {"comsoc", "comsoc.cli", "comsoc.errors"}
+
+    def test_kemeny_loads_only_its_modules(self):
+        loaded = fresh_modules(f"from comsoc.cli import main\nmain(['kemeny', '--in', {E4X3!r}])")
+        assert loaded & SOLVER_MODULES == {"comsoc.elections", "comsoc.kemeny"}
+
+    def test_package_exports_resolve(self):
+        import importlib
+
+        import comsoc
+
+        names = [(module, name) for module, line in EXPORTS.items() for name in line.split()]
+        assert sorted(comsoc.__all__) == sorted(name for _, name in names)
+        listed = dir(comsoc)
+        for module, name in names:
+            assert name in listed
+            expected = getattr(importlib.import_module(f"comsoc.{module}"), name)
+            namespace = {}
+            exec(f"from comsoc import {name}", namespace)
+            assert namespace[name] is expected
+        assert comsoc.__version__ == "0.1.0"
+        with pytest.raises(AttributeError):
+            comsoc.no_such_name
+
+    def test_one_name_loads_one_solver(self):
+        loaded = fresh_modules("from comsoc import kemeny_dp")
+        assert loaded & SOLVER_MODULES == {"comsoc.elections", "comsoc.kemeny"}
+
+    def test_one_process_matches_fresh_processes(self, capsys):
+        # The parser built by the first call serves the rest, parse errors
+        # included.
+        calls = [
+            ["kemeny", "--in", E4X3],
+            ["winners", "--in", E5X3, "--rule", "borda"],
+            ["kemeny", "--method", "bogus"],
+            ["wcs", "--in", CIRCUIT, "--weight", "-1"],
+            ["structure", "--in", E5X3, "--check", "sp"],
+        ]
+        for argv in calls:
+            try:
+                code = main(argv)
+            except SystemExit as stop:
+                code = stop.code
+            here = capsys.readouterr()
+            fresh = subprocess.run(
+                [sys.executable, "-m", "comsoc.cli", *argv],
+                capture_output=True, text=True, env=src_env(), timeout=60,
+            )
+            assert (code, here.out, here.err) == (fresh.returncode, fresh.stdout, fresh.stderr)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from comsoc import structure
 from comsoc.elections import Election, PreferenceOrder
 from comsoc.errors import CapacityError
 from comsoc.generators import MODELS, GeneratorSpec, generate
@@ -53,6 +54,26 @@ def per_voter_axes(e):
         for axis in permutations(range(e.m))
         if all(peak_count(v, axis) == 1 for v in e.voters)
     ]
+
+
+def full_walk_axes(tables, alternatives):
+    """Oracle: the axis search that tests every permutation of
+    ``alternatives``, each axis and its reversal separately."""
+    if len(alternatives) > structure.AXIS_SEARCH_MAX_M:
+        raise CapacityError("axis search over too many alternatives")
+    for axis in permutations(alternatives):
+        if all(structure._one_peak(ranks, axis) for ranks in tables):
+            yield axis
+
+
+def with_full_walk(solve):
+    """Run ``solve()`` with the full axis walk in place of the solver's."""
+    halved = structure._single_peaked_axes
+    structure._single_peaked_axes = full_walk_axes
+    try:
+        return solve()
+    finally:
+        structure._single_peaked_axes = halved
 
 
 def per_voter_deletion(e):
@@ -212,6 +233,20 @@ class TestSinglePeaked:
         assert is_single_peaked_wrt(e, axis) == is_single_peaked_wrt(
             e, tuple(reversed(axis))
         )
+
+    def test_axes_match_full_walk(self):
+        # 400 profiles, m from 1 to 7, so m = 1 (first entry equals last)
+        # is among them.
+        sizes = set()
+        for seed, e in typed_profiles(83000, 400, 7, 8):
+            walk = list(full_walk_axes(structure._rank_tables(e), range(e.m)))
+            assert all_single_peaked_axes(e) == walk, f"seed {seed}"
+            assert find_single_peaked_axis(e) == (walk[0] if walk else None), f"seed {seed}"
+            assert sp_deletion_distance(e, "alternatives") == with_full_walk(
+                lambda: sp_deletion_distance(e, "alternatives")
+            ), f"seed {seed}"
+            sizes.add(e.m)
+        assert sizes == set(range(1, 8))
 
     def test_axes_match_per_voter_oracle(self):
         for seed, e in typed_profiles(77000, 60, 6, 30):
