@@ -3,7 +3,9 @@
 Exit codes: 0 success, 1 no solution (search subcommands, and ``dodgson``
 if its swap program ever reports none), 2 input error, 3 capacity error.
 Output is a single JSON object with sorted keys and compact separators,
-so identical invocations are byte-identical.
+so identical invocations are byte-identical. :func:`_emit` prints every
+answer and maps ``"yes": false`` to exit code 1. JSON input is checked
+against ``schemas.INPUT_SCHEMAS`` by :func:`_read_json`.
 ``--json-schema`` on any subcommand prints its output schema instead of
 running.
 
@@ -19,7 +21,7 @@ import argparse
 import json
 import sys
 
-from .errors import CapacityError, ParseError
+from .errors import CapacityError
 
 OK = 0
 NO_SOLUTION = 1
@@ -32,10 +34,12 @@ def _write_json(obj):
 
 
 def _emit(subcommand, payload):
+    """Check and print ``payload``; exit code 1 for ``"yes": false``, else 0."""
     from .schemas import SCHEMAS, validate_json
 
     validate_json(payload, SCHEMAS[subcommand])
     _write_json(payload)
+    return NO_SOLUTION if payload.get("yes") is False else OK
 
 
 def _read_text(path):
@@ -45,18 +49,16 @@ def _read_text(path):
         return handle.read()
 
 
-def _is_int(x):
-    return isinstance(x, int) and not isinstance(x, bool)
+def _read_json(text, kind):
+    """``text`` parsed as JSON and checked against ``INPUT_SCHEMAS[kind]``."""
+    from .schemas import INPUT_SCHEMAS, validate_json
 
-
-def _int_rows(payload, key):
-    """``payload[key]``, checked to be a list of lists of ints."""
-    rows = payload[key]
-    if not isinstance(rows, list) or not all(
-        isinstance(row, list) and all(map(_is_int, row)) for row in rows
-    ):
-        raise ValueError(f'"{key}" must be a list of lists of ints')
-    return rows
+    try:
+        payload = json.loads(text)
+    except RecursionError:
+        raise ValueError("JSON input is nested too deeply") from None
+    validate_json(payload, INPUT_SCHEMAS[kind])
+    return payload
 
 
 def _read_election(args) -> Election:
@@ -67,11 +69,8 @@ def _read_election(args) -> Election:
     if getattr(args, "preflib", False):
         return parse_preflib_soc(text)
     if text.lstrip().startswith("{"):
-        payload = json.loads(text)
-        labels = payload.get("labels")
-        if labels is not None and not isinstance(labels, list):
-            raise ValueError('"labels" must be a list')
-        return Election(_int_rows(payload, "orders"), labels=labels)
+        payload = _read_json(text, "election")
+        return Election(payload["orders"], labels=payload.get("labels"))
     return parse_election(text)
 
 
@@ -102,8 +101,7 @@ def _cmd_winners(args):
     }
     if e.labels is not None:
         payload["labels"] = list(e.labels)
-    _emit("winners", payload)
-    return OK
+    return _emit("winners", payload)
 
 
 def _cmd_kemeny(args):
@@ -120,8 +118,7 @@ def _cmd_kemeny(args):
         "d_a": avg_pairwise_distance(e),
         "method": args.method,
     }
-    _emit("kemeny", payload)
-    return OK
+    return _emit("kemeny", payload)
 
 
 def _cmd_dodgson(args):
@@ -137,10 +134,8 @@ def _cmd_dodgson(args):
             return NO_SOLUTION
         scores.append(solution.score)
     if args.target is None:
-        _emit("dodgson", {"scores": scores})
-    else:
-        _emit("dodgson", {"target": args.target, "score": scores[0]})
-    return OK
+        return _emit("dodgson", {"scores": scores})
+    return _emit("dodgson", {"target": args.target, "score": scores[0]})
 
 
 def _cmd_ccdv(args):
@@ -156,8 +151,7 @@ def _cmd_ccdv(args):
         "d": args.d,
         "k": args.k,
     }
-    _emit("ccdv", payload)
-    return OK if witness is not None else NO_SOLUTION
+    return _emit("ccdv", payload)
 
 
 def _cmd_bribe(args):
@@ -172,9 +166,7 @@ def _cmd_bribe(args):
 
     e = _read_election(args)
     rule = _rule(args, e.m)
-    prices = json.loads(_read_text(args.prices)) if args.prices else {}
-    if not isinstance(prices, dict):
-        raise ValueError("a --prices file must be a JSON object")
+    prices = _read_json(_read_text(args.prices), "prices") if args.prices else {}
     if args.flavor == "unit":
         budget = BriberyBudget(args.budget)
         plan = unit_or_priced_bribery(e, rule, args.target, budget, unique=args.unique_winner)
@@ -182,8 +174,6 @@ def _cmd_bribe(args):
         voter_prices = prices.get("voter_prices")
         if voter_prices is None:
             raise ValueError("priced bribery needs voter_prices in --prices file")
-        if not isinstance(voter_prices, list) or not all(map(_is_int, voter_prices)):
-            raise ValueError('"voter_prices" must be a list of ints')
         budget = BriberyBudget(args.budget, tuple(voter_prices))
         plan = unit_or_priced_bribery(e, rule, args.target, budget, unique=args.unique_winner)
     elif args.flavor == "swap":
@@ -191,22 +181,14 @@ def _cmd_bribe(args):
         if tables is None:
             price_fn = SwapPriceFunction.unit(e.n, e.m)
         else:
-            if not isinstance(tables, list) or not all(
-                isinstance(table, list)
-                and all(isinstance(t, list) and len(t) == 3 and all(map(_is_int, t)) for t in table)
-                for table in tables
-            ):
-                raise ValueError('"swap_prices" must be lists of [a, b, cost] int triples')
-            price_fn = SwapPriceFunction(
-                [{(a, b): c for a, b, c in table} for table in tables]
-            )
+            price_fn = SwapPriceFunction([{(a, b): c for a, b, c in t} for t in tables])
         plan = swap_bribery(e, rule, args.target, price_fn, args.budget, unique=args.unique_winner)
     else:
         tariffs = prices.get("shift_tariffs")
         if tariffs is None:
             fn = ShiftPriceFunction.linear(e, args.target)
         else:
-            fn = ShiftPriceFunction(_int_rows(prices, "shift_tariffs"))
+            fn = ShiftPriceFunction(tariffs)
         plan = shift_bribery(e, rule, args.target, fn, args.budget, unique=args.unique_winner)
     payload = {
         "yes": plan is not None,
@@ -214,8 +196,7 @@ def _cmd_bribe(args):
         "cost": plan.cost if plan is not None else None,
         "bribed": sorted(a.voter for a in plan.actions) if plan is not None else None,
     }
-    _emit("bribe", payload)
-    return OK if plan is not None else NO_SOLUTION
+    return _emit("bribe", payload)
 
 
 def _cmd_structure(args):
@@ -254,27 +235,18 @@ def _cmd_structure(args):
         mode = "voters" if args.check == "sp-voters" else "alternatives"
         distance, witness = sp_deletion_distance(e, mode)
         payload = {"distance": distance, "witness": list(witness), "mode": mode}
-    _emit("structure", payload)
-    return OK
+    return _emit("structure", payload)
 
 
 def _cmd_mab(args):
     from .circuits import MabInstance, mab_solve
 
-    payload_in = json.loads(_read_text(args.infile))
-    if not isinstance(payload_in, dict):
-        raise ValueError("a mab instance must be a JSON object")
-    m, agenda = payload_in["m"], payload_in.get("agenda", [])
-    if not _is_int(m):
-        raise ValueError('"m" must be an int')
-    if not isinstance(agenda, list) or not all(map(_is_int, agenda)):
-        raise ValueError('"agenda" must be a list of ints')
-    ballots = _int_rows(payload_in, "ballots")
-    inst = MabInstance(m, [frozenset(b) for b in ballots], frozenset(agenda))
+    payload_in = _read_json(_read_text(args.infile), "mab")
+    ballots = [frozenset(b) for b in payload_in["ballots"]]
+    inst = MabInstance(payload_in["m"], ballots, frozenset(payload_in.get("agenda", [])))
     ballot = mab_solve(inst, size=args.size, unanimous=args.unanimous)
     payload = {"yes": ballot is not None, "ballot": list(ballot) if ballot is not None else None}
-    _emit("mab", payload)
-    return OK if ballot is not None else NO_SOLUTION
+    return _emit("mab", payload)
 
 
 def _cmd_wcs(args):
@@ -284,8 +256,7 @@ def _cmd_wcs(args):
     circuit = parse_circuit(_read_text(args.infile))
     if args.metrics:
         metrics = circuit.metrics()
-        _emit("wcs", {"weft": metrics.weft, "depth": metrics.depth})
-        return OK
+        return _emit("wcs", {"weft": metrics.weft, "depth": metrics.depth})
     if args.weight is None:
         raise ValueError("wcs needs --weight k or --metrics")
     assignment = wcs_solve(circuit, args.weight)
@@ -294,8 +265,7 @@ def _cmd_wcs(args):
         "assignment": list(assignment) if assignment is not None else None,
         "weight": args.weight,
     }
-    _emit("wcs", payload)
-    return OK if assignment is not None else NO_SOLUTION
+    return _emit("wcs", payload)
 
 
 def _cmd_cake(args):
@@ -322,8 +292,7 @@ def _cmd_cake(args):
         "utilitarian": format_fraction(welfare(division, densities, "utilitarian")),
         "egalitarian": format_fraction(welfare(division, densities, "egalitarian")),
     }
-    _emit("cake", payload)
-    return OK
+    return _emit("cake", payload)
 
 
 def _cmd_gen(args):
@@ -350,8 +319,7 @@ def _cmd_gen(args):
             "alternatives": [format_fraction(p[0]) for p in result.embedding.alternatives],
             "voters": [format_fraction(p[0]) for p in result.embedding.voters],
         }
-    _emit("gen", payload)
-    return OK
+    return _emit("gen", payload)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -453,13 +421,10 @@ def main(argv=None) -> int:
         return OK
     try:
         return args.func(args)
-    except ParseError as err:
-        print(f"input error: {err}", file=sys.stderr)
-        return INPUT_ERROR
     except CapacityError as err:
         print(f"capacity error: {err}", file=sys.stderr)
         return CAPACITY_ERROR
-    except (ValueError, KeyError, OSError, json.JSONDecodeError) as err:
+    except (ValueError, KeyError, OSError) as err:  # ParseError is a ValueError
         print(f"input error: {err}", file=sys.stderr)
         return INPUT_ERROR
 

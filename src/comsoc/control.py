@@ -195,11 +195,7 @@ def ccdv_fpt(instance: ControlInstance, unique: bool = False):
     return None
 
 
-def ccdv_bruteforce(
-    instance: ControlInstance,
-    unique: bool = False,
-    max_subsets: int = BRUTE_FORCE_MAX_SUBSETS,
-):
+def ccdv_bruteforce(instance: ControlInstance, unique: bool = False):
     """Exhaustive-subset oracle; first witness in (size, lexicographic) order.
 
     Deleting every voter would leave no election, so the all-voters subset
@@ -211,8 +207,8 @@ def ccdv_bruteforce(
     for size in range(k + 1):
         total += choose
         choose = choose * (e.n - size) // (size + 1)
-    if total > max_subsets:
-        raise CapacityError(f"{total} deletion subsets, limit {max_subsets}")
+    if total > BRUTE_FORCE_MAX_SUBSETS:
+        raise CapacityError(f"{total} deletion subsets, limit {BRUTE_FORCE_MAX_SUBSETS}")
     for size in range(k + 1):
         for subset in combinations(range(e.n), size):
             if size == e.n:

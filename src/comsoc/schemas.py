@@ -1,9 +1,11 @@
-"""JSON output schemas for the command-line surface, plus a small validator.
+"""JSON schemas for the command-line surface, plus a small validator.
 
 The validator supports the subset of JSON Schema used here: ``type``,
 ``properties`` / ``required`` / ``additionalProperties``, ``items``,
 ``enum``, and ``anyOf``. Every CLI result object validates against its
-subcommand's schema; tests enforce this.
+subcommand's schema in ``SCHEMAS``; tests enforce this. JSON input is
+checked against ``INPUT_SCHEMAS``, and an error names the JSON path, as in
+``$.orders[0][1]: expected integer, got str``.
 """
 
 from __future__ import annotations
@@ -56,8 +58,16 @@ def validate_json(value, schema, path="$"):
 
 
 _INT_ARRAY = {"type": "array", "items": {"type": "integer"}}
+_INT_ROWS = {"type": "array", "items": _INT_ARRAY}
 _STRING_ARRAY = {"type": "array", "items": {"type": "string"}}
-_NULLABLE_INT_ARRAY = {"anyOf": [_INT_ARRAY, {"type": "null"}]}
+
+
+def _nullable(schema):
+    return {"anyOf": [schema, {"type": "null"}]}
+
+
+_NULLABLE_INT_ARRAY = _nullable(_INT_ARRAY)
+
 
 SCHEMAS = {
     "winners": {
@@ -250,7 +260,7 @@ SCHEMAS = {
             "n": {"type": "integer"},
             "model": {"type": "string"},
             "seed": {"type": "integer"},
-            "orders": {"type": "array", "items": _INT_ARRAY},
+            "orders": _INT_ROWS,
             "axis": _INT_ARRAY,
             "positions": {
                 "type": "object",
@@ -263,5 +273,29 @@ SCHEMAS = {
             },
         },
         "additionalProperties": False,
+    },
+}
+
+
+# JSON read by the command line. A null ``labels``, ``swap_prices`` or
+# ``shift_tariffs`` means the key is absent.
+INPUT_SCHEMAS = {
+    "election": {
+        "type": "object",
+        "required": ["orders"],
+        "properties": {"orders": _INT_ROWS, "labels": _nullable({"type": "array"})},
+    },
+    "prices": {
+        "type": "object",
+        "properties": {
+            "voter_prices": _INT_ARRAY,
+            "swap_prices": _nullable({"type": "array", "items": _INT_ROWS}),
+            "shift_tariffs": _nullable(_INT_ROWS),
+        },
+    },
+    "mab": {
+        "type": "object",
+        "required": ["m", "ballots"],
+        "properties": {"m": {"type": "integer"}, "ballots": _INT_ROWS, "agenda": _INT_ARRAY},
     },
 }

@@ -80,24 +80,28 @@ def is_single_peaked_wrt(e: Election, axis) -> bool:
     return all(_one_peak(ranks, axis) for ranks in _rank_tables(e))
 
 
-def _single_peaked_axes(tables, alternatives):
-    """Orders of the ascending ``alternatives`` along which every rank table
-    has one peak, lexicographically, one of each axis and its reversal.
-
-    An order is single-peaked along an axis exactly when it is along the
-    reversed axis, so only axes whose first entry is at most their last
-    are tested. The lexicographically first valid axis is among them: a
-    valid axis with a larger first entry has a valid, smaller reversal.
-    A single alternative is its own reversal, hence "at most".
-
-    Restricting an order to some alternatives keeps their relative ranks,
-    so the full tables serve for any subset of the alternatives."""
+def _axes(alternatives):
+    """Orders of the ascending ``alternatives`` whose first entry is at most
+    their last, lexicographically: one of each axis and its reversal, which
+    admit the same single-peaked orders. The lexicographically first valid
+    axis is among them, as a valid axis with a larger first entry has a
+    valid, smaller reversal; a single alternative is its own reversal."""
     if len(alternatives) > AXIS_SEARCH_MAX_M:
         raise CapacityError(
             f"axis search limited to m <= {AXIS_SEARCH_MAX_M}, got {len(alternatives)}"
         )
     for axis in permutations(alternatives):
-        if axis[0] <= axis[-1] and all(_one_peak(ranks, axis) for ranks in tables):
+        if axis[0] <= axis[-1]:
+            yield axis
+
+
+def _single_peaked_axes(tables, alternatives):
+    """The axes of :func:`_axes` along which every rank table has one peak.
+
+    Restricting an order to some alternatives keeps their relative ranks,
+    so the full tables serve for any subset of the alternatives."""
+    for axis in _axes(alternatives):
+        if all(_one_peak(ranks, axis) for ranks in tables):
             yield axis
 
 
@@ -232,10 +236,9 @@ def sp_deletion_distance(e: Election, mode: str):
     if mode == "voters":
         if e.n > VOTER_DELETION_MAX_N:
             raise CapacityError(f"voter deletion limited to n <= {VOTER_DELETION_MAX_N}")
-        if e.m > AXIS_SEARCH_MAX_M:
-            raise CapacityError(f"axis search limited to m <= {AXIS_SEARCH_MAX_M}")
         # Reaching one axis means deleting exactly the voters not single-peaked
-        # on it, so the answer is the smallest (size, drop) over all axes.
+        # on it, so the answer is the smallest (size, drop) over all axes; an
+        # axis and its reversal drop the same voters, so one of each serves.
         # Each distinct order is tested once; its verdict covers its voters.
         voters_of = {}
         for i, v in enumerate(e.voters):
@@ -243,7 +246,7 @@ def sp_deletion_distance(e: Election, mode: str):
         # ``voters_of`` and ``_rank_tables`` both follow first appearance.
         tables = list(zip(voters_of.values(), _rank_tables(e)))
         best = (e.n + 1, ())
-        for axis in permutations(range(e.m)):
+        for axis in _axes(range(e.m)):
             dropped, size = [], 0
             for voters, ranks in tables:
                 if not _one_peak(ranks, axis):

@@ -4,8 +4,8 @@ import pkgutil
 
 import comsoc
 
-# Brute-force oracles that tests run with a smaller or larger cap.
-OVERRIDABLE = {"dodgson_bruteforce", "ccdv_bruteforce"}
+# The one per-call override: tests run the Dodgson oracle with a larger swap cap.
+OVERRIDABLE = {("dodgson_bruteforce", "max_k")}
 
 
 def public_callables():
@@ -24,8 +24,11 @@ def public_callables():
 
 def test_capacity_limits_are_module_constants():
     found = {
-        qualname: [p for p in inspect.signature(fn).parameters if p.startswith("max_")]
+        qualname: [
+            p
+            for p in inspect.signature(fn).parameters
+            if p.startswith("max_") and (fn.__name__, p) not in OVERRIDABLE
+        ]
         for qualname, fn in public_callables()
-        if fn.__name__ not in OVERRIDABLE
     }
     assert {qualname: params for qualname, params in found.items() if params} == {}

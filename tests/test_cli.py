@@ -235,6 +235,10 @@ class TestBribe:
             ("swap", {"swap_prices": [5, [], []]}),
             ("swap", {"swap_prices": [[[0, 1, 1], [0, 2, 1], [0, 3, 1], [1, 2, 1], [1, 3, 1], [2, 3, 1]]]}),
             ("shift", {"shift_tariffs": [5, [0], [0]]}),
+            ("swap", {"swap_prices": [[[0, 1]], [[0, 1]], [[0, 1]]]}),
+            ("swap", {"swap_prices": [[[0, 1, 1, 1]], [[0, 1, 1, 1]], [[0, 1, 1, 1]]]}),
+            ("priced", {"voter_prices": [True]}),
+            ("shift", {"shift_tariffs": [[0, "1"]]}),
         ],
     )
     def test_malformed_prices_are_input_errors(self, tmp_path, capsys, flavor, prices):
@@ -302,12 +306,46 @@ class TestStructure:
         ("mab", {"m": 2, "ballots": [[[0]]]}),
         ("mab", {"m": 2, "ballots": [[0]], "agenda": 1}),
         ("mab", [2]),
+        ("winners", {"labels": ["a", "b"]}),
+        ("mab", {"ballots": [[0]]}),
+        ("mab", {"m": 2}),
     ],
 )
 def test_malformed_json_is_input_error(tmp_path, capsys, subcommand, payload):
     path = tmp_path / "in.json"
     path.write_text(json.dumps(payload))
     code = main([subcommand, "--in", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("input error:") and captured.err.count("\n") == 1
+
+
+def test_input_error_names_json_path(tmp_path, capsys):
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps({"orders": [[0, "a"]]}))
+    assert main(["winners", "--in", str(path)]) == 2
+    assert capsys.readouterr().err == "input error: $.orders[0][1]: expected integer, got str\n"
+
+
+DEEP = "[" * 100_000 + "]" * 100_000
+
+
+@pytest.mark.parametrize(
+    "argv, text",
+    [
+        (["winners", "--in"], '{"orders": %s}' % DEEP),
+        (["mab", "--in"], '{"m": 2, "ballots": %s}' % DEEP),
+        (
+            ["bribe", "--in", E4X3, "--flavor", "priced", "--target", "1", "--budget", "2", "--prices"],
+            '{"voter_prices": %s}' % DEEP,
+        ),
+    ],
+    ids=["winners", "mab", "bribe"],
+)
+def test_deeply_nested_json_is_input_error(tmp_path, capsys, argv, text):
+    path = tmp_path / "deep.json"
+    path.write_text(text)
+    code = main(argv + [str(path)])
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert captured.err.startswith("input error:") and captured.err.count("\n") == 1
@@ -389,6 +427,18 @@ class TestGen:
         finally:
             _sys.stdin = _sys.__stdin__
         assert code == 0 and payload["single_peaked"] is True
+
+    @pytest.mark.parametrize("model", ["impartial-culture", "single-peaked", "euclidean-1d"])
+    def test_json_reads_as_its_soc_text(self, capsys, monkeypatch, model):
+        import io
+
+        gen = ["gen", "--model", model, "--m", "5", "--n", "9", "--seed", "3"]
+        results = []
+        for fmt in ("json", "soc"):
+            _, out = run(capsys, *gen, "--format", fmt)
+            monkeypatch.setattr("sys.stdin", io.StringIO(out))
+            results.append(run(capsys, "winners", "--in", "-", "--rule", "borda"))
+        assert results[0] == results[1] and results[0][0] == 0
 
     def test_euclidean_positions_emitted(self, capsys):
         _, payload = run_json(

@@ -148,7 +148,7 @@ class TestBruteForce:
             e = Election([base, base] + others)
             for c in range(m):
                 score = dodgson_score(e, c).score
-                assert dodgson_bruteforce(e, c, min(score, 8), max_k=8) == (
+                assert dodgson_bruteforce(e, c, min(score, 8)) == (
                     score if score <= 8 else None
                 ), f"trial {trial}"
 

@@ -68,12 +68,12 @@ def full_walk_axes(tables, alternatives):
 
 def with_full_walk(solve):
     """Run ``solve()`` with the full axis walk in place of the solver's."""
-    halved = structure._single_peaked_axes
-    structure._single_peaked_axes = full_walk_axes
+    halved = structure._axes
+    structure._axes = lambda alternatives: full_walk_axes((), alternatives)
     try:
         return solve()
     finally:
-        structure._single_peaked_axes = halved
+        structure._axes = halved
 
 
 def per_voter_deletion(e):
@@ -477,6 +477,16 @@ class TestDeletionDistance:
     def test_voters_match_per_voter_oracle(self):
         for seed, e in typed_profiles(78000, 90, 6, 10):
             assert sp_deletion_distance(e, "voters") == per_voter_deletion(e), f"seed {seed}"
+
+    def test_voters_match_full_walk(self):
+        # m from 1 to 7, so m = 1 (first entry equals last) is among them.
+        sizes = set()
+        for seed, e in typed_profiles(84000, 150, 7, 10):
+            assert sp_deletion_distance(e, "voters") == with_full_walk(
+                lambda: sp_deletion_distance(e, "voters")
+            ), f"seed {seed}"
+            sizes.add(e.m)
+        assert sizes == set(range(1, 8))
 
     def test_voters_one_pass_over_axes(self):
         e = generate(GeneratorSpec("impartial-culture", 7, 10, 1)).election

@@ -58,9 +58,12 @@ MUTANTS = (
     Mutant(
         "axis-filter-drops-single-alternative",
         "src/comsoc/structure.py",
-        "if axis[0] <= axis[-1] and",
-        "if axis[0] < axis[-1] and",
-        ("tests/test_structure.py::TestSinglePeaked::test_axes_match_full_walk",),
+        "if axis[0] <= axis[-1]:",
+        "if axis[0] < axis[-1]:",
+        (
+            "tests/test_structure.py::TestSinglePeaked::test_axes_match_full_walk",
+            "tests/test_structure.py::TestDeletionDistance::test_voters_match_full_walk",
+        ),
     ),
     Mutant(
         "wcs-accepts-negative-weight",
@@ -72,9 +75,27 @@ MUTANTS = (
     Mutant(
         "cli-imports-a-solver-eagerly",
         "src/comsoc/cli.py",
-        "from .errors import CapacityError, ParseError\n",
-        "from . import bribery  # noqa: F401\nfrom .errors import CapacityError, ParseError\n",
+        "from .errors import CapacityError\n",
+        "from . import bribery  # noqa: F401\nfrom .errors import CapacityError\n",
         ("tests/test_cli.py::TestStartup",),
+    ),
+    Mutant(
+        "emit-no-unless-yes",
+        "src/comsoc/cli.py",
+        'payload.get("yes") is False',
+        'payload.get("yes") is not True',
+        ("tests/test_cli.py",),
+    ),
+    Mutant(
+        "json-recursion-uncaught",
+        "src/comsoc/cli.py",
+        """    try:
+        payload = json.loads(text)
+    except RecursionError:
+        raise ValueError("JSON input is nested too deeply") from None
+""",
+        "    payload = json.loads(text)\n",
+        ("tests/test_cli.py::test_deeply_nested_json_is_input_error",),
     ),
 )
 
