@@ -114,10 +114,11 @@ class ShiftPriceFunction:
         self.rhos = tuple(fixed)
 
     @classmethod
-    def linear(cls, e: Election, p, slope=1):
+    def linear(cls, e: Election, p):
+        """Every voter charges ``t`` for a shift by ``t`` positions."""
         if not 0 <= p < e.m:
             raise ValueError(f"preferred alternative {p} is not an id for m={e.m}")
-        return cls([tuple(slope * t for t in range(v.rank_of(p))) for v in e.voters])
+        return cls([tuple(range(v.rank_of(p))) for v in e.voters])
 
     def check_against(self, e: Election, p):
         for v, rho in zip(e.voters, self.rhos):

@@ -42,8 +42,14 @@ def _poly_eval(coeffs, x):
     return acc
 
 
-def _poly_antiderivative(coeffs):
-    return [ZERO] + [c / (i + 1) for i, c in enumerate(coeffs)]
+def _mass(coeffs, a, b):
+    """Exact integral of the polynomial over [a, b]: Horner on its antiderivative."""
+    at_a = at_b = ZERO
+    for i in range(len(coeffs) - 1, -1, -1):
+        c = coeffs[i] / (i + 1)
+        at_a = (at_a + c) * a
+        at_b = (at_b + c) * b
+    return at_b - at_a
 
 
 def _sign_surd(u, w, d):
@@ -145,10 +151,7 @@ class PiecewisePolyDensity:
         for lo, hi, coeffs in fixed:
             if not _poly_nonneg_on(coeffs, lo, hi):
                 raise ValueError(f"density negative somewhere on [{lo}, {hi})")
-        total = ZERO
-        for lo, hi, coeffs in fixed:
-            anti = _poly_antiderivative(coeffs)
-            total += _poly_eval(anti, hi) - _poly_eval(anti, lo)
+        total = sum((_mass(coeffs, lo, hi) for lo, hi, coeffs in fixed), ZERO)
         if total != 1:
             raise ValueError(f"density integrates to {total}, expected exactly 1")
         object.__setattr__(self, "pieces", tuple(fixed))
@@ -168,8 +171,7 @@ class PiecewisePolyDensity:
         for lo, hi, coeffs in pieces:
             lo, hi = _frac(lo), _frac(hi)
             coeffs = tuple(_frac(c) for c in coeffs)
-            anti = _poly_antiderivative(coeffs)
-            total += _poly_eval(anti, hi) - _poly_eval(anti, lo)
+            total += _mass(coeffs, lo, hi)
             fixed.append((lo, hi, coeffs))
         if total <= 0:
             raise ValueError("cannot normalize a density with nonpositive mass")
@@ -182,11 +184,18 @@ class PiecewisePolyDensity:
             return ZERO
         total = ZERO
         for lo, hi, coeffs in self.pieces:
-            left, right = max(lo, a), min(hi, b)
-            if left < right:
-                anti = _poly_antiderivative(coeffs)
-                total += _poly_eval(anti, right) - _poly_eval(anti, left)
+            if lo < b and a < hi:
+                total += _mass(coeffs, max(lo, a), min(hi, b))
         return total
+
+
+def _sorted_disjoint(spans, message):
+    """``spans`` sorted as a tuple; ``ValueError(message)`` if two interiors overlap."""
+    spans = sorted(spans)
+    for (_, prev_hi), (lo, _) in zip(spans, spans[1:]):
+        if lo < prev_hi:
+            raise ValueError(message)
+    return tuple(spans)
 
 
 class Piece:
@@ -206,11 +215,7 @@ class Piece:
                 raise ValueError(f"interval [{lo}, {hi}] outside the cake")
             if lo < hi:
                 fixed.append((lo, hi))
-        fixed.sort()
-        for (_, prev_hi), (lo, _) in zip(fixed, fixed[1:]):
-            if lo < prev_hi:
-                raise ValueError("piece intervals overlap")
-        object.__setattr__(self, "intervals", tuple(fixed))
+        object.__setattr__(self, "intervals", _sorted_disjoint(fixed, "piece intervals overlap"))
 
     def __setattr__(self, name, value):
         raise AttributeError("Piece is immutable")
@@ -240,7 +245,7 @@ def measure(f: PiecewisePolyDensity, piece: Piece) -> Fraction:
     return sum((f.measure_interval(a, b) for a, b in piece.intervals), ZERO)
 
 
-def _solve_linear_piece(coeffs, lo, hi, start, want):
+def _solve_linear_piece(coeffs, hi, start, want):
     """Smallest x in [start, hi] with integral of (c0 + c1 t) from start
     equal to ``want``; closed form, exact when the root is rational."""
     c0 = coeffs[0]
@@ -263,13 +268,13 @@ def _solve_linear_piece(coeffs, lo, hi, start, want):
     raise AssertionError("no quadratic root landed inside the piece")
 
 
-def _bisect_piece(f, lo, hi, start, want, tolerance):
-    """Monotone bisection on the measure value for degree >= 2 pieces."""
+def _bisect_piece(coeffs, hi, start, want):
+    """Monotone bisection on the piece's mass from ``start`` for degree >= 2."""
     left, right = start, hi
     for _ in range(256):
         mid = (left + right) / 2
-        got = f.measure_interval(start, mid)
-        if abs(got - want) <= tolerance:
+        got = _mass(coeffs, start, mid)
+        if abs(got - want) <= MEASURE_TOLERANCE:
             return mid
         if got < want:
             left = mid
@@ -278,35 +283,32 @@ def _bisect_piece(f, lo, hi, start, want, tolerance):
     return (left + right) / 2
 
 
-def cut_query(f: PiecewisePolyDensity, a, v, tolerance: Fraction = MEASURE_TOLERANCE) -> Fraction:
+def cut_query(f: PiecewisePolyDensity, a, v) -> Fraction:
     """Smallest x in [a, 1] with measure over [a, x] equal to ``v``.
 
     Zero-density plateaus resolve to their left end. ``v`` must not exceed
-    the value of the remaining cake [a, 1].
+    the value of the remaining cake [a, 1]. One walk over the pieces
+    integrates each piece once, and a request it does not meet is refused.
     """
     a, v = _frac(a), _frac(v)
     if not 0 <= a <= 1:
         raise ValueError("cut start outside the cake")
-    if v < 0 or v > f.measure_interval(a, 1):
-        raise ValueError(f"requested value {v} outside [0, measure(a, 1)]")
     if v == 0:
         return a
-    remaining = v
-    for lo, hi, coeffs in f.pieces:
-        left = max(lo, a)
-        if left >= hi:
-            continue
-        mass = f.measure_interval(left, hi)
-        if mass < remaining:
-            remaining -= mass
-            continue
-        degree = len(coeffs) - 1
-        while degree > 0 and coeffs[degree] == 0:
-            degree -= 1
-        if degree <= 1:
-            return _solve_linear_piece(coeffs, lo, hi, left, remaining)
-        return _bisect_piece(f, lo, hi, left, remaining, tolerance)
-    return ONE
+    if v > 0:
+        remaining = v
+        for lo, hi, coeffs in f.pieces:
+            left = max(lo, a)
+            if left >= hi:
+                continue
+            mass = _mass(coeffs, left, hi)
+            if mass < remaining:
+                remaining -= mass
+                continue
+            if not any(coeffs[2:]):
+                return _solve_linear_piece(coeffs, hi, left, remaining)
+            return _bisect_piece(coeffs, hi, left, remaining)
+    raise ValueError(f"requested value {v} outside [0, measure(a, 1)]")
 
 
 @dataclass(frozen=True)
@@ -330,19 +332,14 @@ class Division:
 
     def validate(self):
         """Check disjointness across players and the declared bounds."""
-        total = 0
         spans = []
         for idx, piece in enumerate(self.pieces):
             if len(piece.intervals) > self.delta:
                 raise ValueError(f"player {idx} holds more than delta intervals")
-            total += len(piece.intervals)
             spans.extend(piece.intervals)
-        if total > self.gamma * self.n:
+        if len(spans) > self.gamma * self.n:
             raise ValueError("division exceeds gamma * n intervals")
-        spans.sort()
-        for (_, prev_hi), (lo, _) in zip(spans, spans[1:]):
-            if lo < prev_hi:
-                raise ValueError("players' pieces overlap")
+        _sorted_disjoint(spans, "players' pieces overlap")
         return self
 
 

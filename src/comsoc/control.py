@@ -32,7 +32,10 @@ BRUTE_FORCE_MAX_SUBSETS = 2_000_000
 
 @dataclass(frozen=True)
 class ApprovalView:
-    """Per-voter approval sets at depth ``d`` and the induced score map."""
+    """Per-voter approval sets at depth ``d`` and the induced score map.
+
+    Voters with equal orders share one approval set object.
+    """
 
     d: int
     approves: tuple
@@ -80,7 +83,8 @@ def approval_view(e: Election, d: int) -> ApprovalView:
     """Approval sets and scores at depth ``d`` (requires ``1 <= d < m``)."""
     if not 1 <= d < e.m:
         raise ValueError(f"approval depth {d} out of range for m={e.m}")
-    approves = tuple(v.top(d) for v in e.voters)
+    top = {order: order.top(d) for order, _ in e.types()}
+    approves = tuple(top[v] for v in e.voters)
     scores = _tally([v.ranking for v in e.voters], (1,) * d, e.m)
     return ApprovalView(d, approves, tuple(scores))
 

@@ -123,11 +123,13 @@ def parse_preflib_soc(text: str) -> Election:
             key, value = meta.split(":", 1)
             key = key.strip().upper()
             value = value.strip()
-            if key == "NUMBER ALTERNATIVES":
-                m = int(value)
-            elif key.startswith("ALTERNATIVE NAME"):
-                idx = int(key.rsplit(None, 1)[1])
-                names[idx] = value
+            try:
+                if key == "NUMBER ALTERNATIVES":
+                    m = int(value)
+                elif key.startswith("ALTERNATIVE NAME"):
+                    names[int(key.rsplit(None, 1)[1])] = value
+            except ValueError:
+                raise ParseError(f"non-integer in '{key}' metadata", lineno) from None
             continue
         if ":" not in line:
             raise ParseError("expected 'count: order' row", lineno)

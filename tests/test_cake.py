@@ -1,7 +1,10 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from comsoc.cake import (
     DEFAULT_EPS,
@@ -15,6 +18,7 @@ from comsoc.cake import (
     measure,
     welfare,
 )
+from comsoc.cake import _solve_linear_piece
 
 F = Fraction
 
@@ -49,6 +53,72 @@ def random_linear_density(rng: random.Random, max_pieces=3, grid=6):
     if mass == 0:
         return PiecewisePolyDensity.uniform()
     return PiecewisePolyDensity.normalized(pieces)
+
+
+def random_poly_density(rng: random.Random, max_pieces=6, grid=24):
+    """Pieces of degree 0-3, exactly normalized: nonnegative coefficients,
+    or a scaled square (t - r)^2 that touches zero inside the cake."""
+    cuts = sorted(rng.sample(range(1, grid), rng.randint(0, max_pieces - 1)))
+    bounds = [F(0)] + [F(c, grid) for c in cuts] + [F(1)]
+    pieces = []
+    for lo, hi in zip(bounds, bounds[1:]):
+        degree = rng.randint(0, 3)
+        if degree == 2 and rng.random() < 0.5:
+            r, c = F(rng.randint(0, grid), grid), F(rng.randint(1, 5))
+            coeffs = (c * r * r, -2 * c * r, c)
+        else:
+            coeffs = tuple(F(rng.randint(0, 6), rng.randint(1, 3)) for _ in range(degree + 1))
+        pieces.append((lo, hi, coeffs if any(coeffs) else (F(1),)))
+    return PiecewisePolyDensity.normalized(pieces)
+
+
+@st.composite
+def poly_densities(draw, grid=24):
+    cuts = draw(st.lists(st.integers(1, grid - 1), max_size=4, unique=True))
+    bounds = [F(0)] + [F(c, grid) for c in sorted(cuts)] + [F(1)]
+    pieces = []
+    for lo, hi in zip(bounds, bounds[1:]):
+        coeffs = draw(st.lists(st.integers(0, 6), min_size=1, max_size=4))
+        pieces.append((lo, hi, tuple(F(c) for c in coeffs) if any(coeffs) else (F(1),)))
+    return PiecewisePolyDensity.normalized(pieces)
+
+
+def plain_cut_query(f, a, v, tolerance=F(1, 10**12)):
+    """Oracle: the cut query that takes every mass, in the walk and in the
+    bisection, from a scan of the whole density."""
+    a, v = F(a), F(v)
+    if not 0 <= a <= 1:
+        raise ValueError("cut start outside the cake")
+    if v < 0 or v > f.measure_interval(a, 1):
+        raise ValueError(f"requested value {v} outside [0, measure(a, 1)]")
+    if v == 0:
+        return a
+    remaining = v
+    for lo, hi, coeffs in f.pieces:
+        left = max(lo, a)
+        if left >= hi:
+            continue
+        mass = f.measure_interval(left, hi)
+        if mass < remaining:
+            remaining -= mass
+            continue
+        degree = len(coeffs) - 1
+        while degree > 0 and coeffs[degree] == 0:
+            degree -= 1
+        if degree <= 1:
+            return _solve_linear_piece(coeffs, hi, left, remaining)
+        low, high = left, hi
+        for _ in range(256):
+            mid = (low + high) / 2
+            got = f.measure_interval(left, mid)
+            if abs(got - remaining) <= tolerance:
+                return mid
+            if got < remaining:
+                low = mid
+            else:
+                high = mid
+        return (low + high) / 2
+    return F(1)
 
 
 class TestDensityValidation:
@@ -170,6 +240,10 @@ class TestCutQuery:
             cut_query(f, F(1, 2), F(3, 4))
         with pytest.raises(ValueError):
             cut_query(f, 0, F(-1, 2))
+        g = random_poly_density(random.Random(59))
+        for a in (F(0), F(1, 3), F(1)):
+            with pytest.raises(ValueError, match="outside"):
+                cut_query(g, a, g.measure_interval(a, 1) + F(1, 10**30))
 
     def test_zero_density_plateau_resolves_left(self):
         f = PiecewisePolyDensity(
@@ -195,6 +269,25 @@ class TestCutQuery:
             values = sorted(F(rng.randint(0, 16), 16) for _ in range(2))
             xs = [cut_query(f, 0, v) for v in values]
             assert xs[0] <= xs[1]
+
+    def test_matches_plain_query_inside_later_pieces(self):
+        rng = random.Random(58)
+        checked = 0
+        for _ in range(60):
+            f = random_poly_density(rng)
+            for lo, hi, _ in f.pieces[1:]:
+                a = lo + (hi - lo) * F(rng.randint(1, 7), 8)
+                v = f.measure_interval(a, 1) * F(rng.randint(1, 16), 16)
+                assert cut_query(f, a, v) == plain_cut_query(f, a, v)
+                checked += 1
+        assert checked > 100
+
+    @given(poly_densities(), st.integers(0, 95), st.integers(0, 16))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_plain_query_property(self, f, a_num, v_num):
+        a = F(a_num, 96)
+        v = f.measure_interval(a, 1) * F(v_num, 16)
+        assert cut_query(f, a, v) == plain_cut_query(f, a, v)
 
     def test_quadratic_piece_bisection(self):
         # Density 3t^2: cumulative t^3; cutting 1/8 lands near 1/2.
@@ -305,6 +398,30 @@ class TestProtocols:
             division.validate()
             report = check_fairness(division, densities, eps=DEFAULT_EPS)
             assert report.proportional, f"trial {trial}"
+
+    def test_many_pieces_cut_in_one_walk(self):
+        # 4,000 pieces: a cut that rescans the density for every piece it
+        # walks is quadratic in the piece count and takes tens of seconds.
+        n = 4000
+        grid = [(F(i, n), F(i + 1, n)) for i in range(n)]
+        uniform = PiecewisePolyDensity([(lo, hi, (F(1),)) for lo, hi in grid])
+        tent = PiecewisePolyDensity(
+            [(lo, hi, (F(0), F(4)) if hi <= F(1, 2) else (F(4), F(-4))) for lo, hi in grid]
+        )
+        for f in (uniform, tent):
+            start = time.perf_counter()
+            division = cut_and_choose([f, f])
+            assert time.perf_counter() - start < 3
+            assert division.pieces[1] == Piece.interval(0, F(1, 2))
+            start = time.perf_counter()
+            division = last_diminisher([f, f, f])
+            assert time.perf_counter() - start < 3
+            report = check_fairness(division, [f, f, f], eps=DEFAULT_EPS)
+            assert report.proportional and report.envy_free
+            if f is uniform:
+                assert [p.intervals for p in division.pieces] == [
+                    ((0, F(1, 3)),), ((F(1, 3), F(2, 3)),), ((F(2, 3), 1),)
+                ]
 
     def test_last_diminisher_single_intervals(self):
         rng = random.Random(57)

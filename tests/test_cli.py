@@ -470,6 +470,16 @@ class TestInputVariants:
         code, out = run(capsys, "kemeny", "--in", str(soc), "--preflib")
         assert code == 3 and out == ""
 
+    def test_preflib_bad_metadata_names_its_line(self, tmp_path, capsys):
+        soc = tmp_path / "bad.soc"
+        soc.write_text("# NUMBER ALTERNATIVES: three\n1: 1, 2, 3\n")
+        code = main(["kemeny", "--in", str(soc), "--preflib"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.splitlines() == [
+            "input error: line 1: non-integer in 'NUMBER ALTERNATIVES' metadata"
+        ]
+
     def test_json_input_with_labels(self, capsys):
         import io, sys as _sys
 

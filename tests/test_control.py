@@ -110,6 +110,21 @@ class TestApprovalView:
         view = approval_view(e, 2)
         assert view.scores == (5, 0, 5, 0)
 
+    def test_equal_orders_share_one_approval_set(self):
+        rng = random.Random(4)
+        for _ in range(20):
+            m = rng.randint(2, 5)
+            orders = [tuple(rng.sample(range(m), m)) for _ in range(3)]
+            # Raw tuples: every voter gets its own PreferenceOrder object.
+            e = Election([rng.choice(orders) for _ in range(rng.randint(1, 12))])
+            d = rng.randint(1, m - 1)
+            view = approval_view(e, d)
+            assert view.approves == tuple(v.top(d) for v in e.voters)
+            for i, v in enumerate(e.voters):
+                for j, w in enumerate(e.voters):
+                    if v == w:
+                        assert view.approves[i] is view.approves[j]
+
     def test_depth_out_of_range(self, election_4x3):
         with pytest.raises(ValueError):
             approval_view(election_4x3, 0)

@@ -146,6 +146,22 @@ class TestPreflibImport:
         with pytest.raises(ParseError):
             parse_preflib_soc("# DATA TYPE: soc\n")
 
+    def test_non_integer_alternative_count_names_its_line(self):
+        with pytest.raises(ParseError, match="^line 2: .*NUMBER ALTERNATIVES") as err:
+            parse_preflib_soc("# DATA TYPE: soc\n# NUMBER ALTERNATIVES: three\n1: 1, 2, 3\n")
+        assert err.value.line == 2
+
+    def test_non_integer_alternative_index_names_its_line(self):
+        text = (
+            "# NUMBER ALTERNATIVES: 1\n"
+            "# ALTERNATIVE NAME 1: red\n"
+            "# ALTERNATIVE NAME x: foo\n"
+            "1: 1\n"
+        )
+        with pytest.raises(ParseError, match="^line 3: .*ALTERNATIVE NAME X") as err:
+            parse_preflib_soc(text)
+        assert err.value.line == 3
+
     def test_huge_count_is_capacity_error(self):
         with pytest.raises(CapacityError, match="voters"):
             parse_preflib_soc("# NUMBER ALTERNATIVES: 3\n1000000000000: 1, 2, 3\n")

@@ -56,6 +56,34 @@ MUTANTS = (
         ("tests/test_bribery.py::TestRewriteSearch",),
     ),
     Mutant(
+        "swap-shift-bound-drops-budget-boundary",
+        "src/comsoc/bribery.py",
+        "del step[bisect_right(step, budget) :]",
+        "del step[bisect_right(step, budget - 1) :]",
+        ("tests/test_bribery.py::TestBoundedSearch",),
+    ),
+    Mutant(
+        "dodgson-memo-cuts-cheaper-revisit",
+        "src/comsoc/dodgson.py",
+        "if seen is not None and seen <= cost:",
+        "if seen is not None and seen >= cost:",
+        ("tests/test_dodgson.py::TestMemo",),
+    ),
+    Mutant(
+        "kemeny-bound-drops-equal-cost",
+        "src/comsoc/kemeny.py",
+        "if g <= ub and layer.get(s | bit, g + 1) > g:",
+        "if g < ub and layer.get(s | bit, g + 1) > g:",
+        ("tests/test_kemeny.py::TestDp",),
+    ),
+    Mutant(
+        "cut-query-mass-from-piece-start",
+        "src/comsoc/cake.py",
+        "mass = _mass(coeffs, left, hi)",
+        "mass = _mass(coeffs, lo, hi)",
+        ("tests/test_cake.py::TestCutQuery",),
+    ),
+    Mutant(
         "axis-filter-drops-single-alternative",
         "src/comsoc/structure.py",
         "if axis[0] <= axis[-1]:",
