@@ -31,6 +31,16 @@ exceeds the budget. The bound never exceeds the cost of a winning
 completion, so the first optimal plan in search order survives and the
 returned plan is the one the search finds without the bound.
 
+The option lists are built without a :class:`PreferenceOrder` per option.
+Swap (:func:`_swap_options`) tabulates every target order once per solve,
+with its point column and the cells ``a * m + b`` of its pairs (``a``
+ranked above ``b``); a voter's weight list holds the price of each pair
+the voter ranks the other way, so a target's cost is a sum of weights over
+its cells. Shift (:func:`_shift_options`) starts from the voter's own
+point column and moves the preferred alternative up one slot per option.
+Orders, swap sequences and shifted orders are rebuilt only for the plan
+returned.
+
 Unit and priced bribery try voter subsets in (cost, index tuple) order and
 ask :func:`_rewrite_feasible` whether some rewrite of the subset, with the
 preferred alternative on top, makes it win. That search assigns the
@@ -64,17 +74,27 @@ def _pair(a, b):
 
 
 class SwapPriceFunction:
-    """Per-voter nonnegative prices for swapping adjacent unordered pairs."""
+    """Per-voter nonnegative prices for swapping adjacent unordered pairs.
+
+    Each table maps a pair of distinct alternatives to its price, as a
+    mapping or as ``(pair, price)`` items; ``(a, b)`` and ``(b, a)`` name
+    the same pair and may not be given two different prices.
+    """
 
     def __init__(self, tables):
         normalized = []
         for v, table in enumerate(tables):
             fixed = {}
-            for key, cost in table.items():
-                a, b = tuple(key)
-                if int(cost) < 0:
+            for key, cost in table.items() if hasattr(table, "items") else table:
+                key = tuple(key)
+                if len(key) != 2 or key[0] == key[1]:
+                    raise ValueError(f"voter {v}: swap price for {key}, not a distinct pair")
+                cost = int(cost)
+                if cost < 0:
                     raise ValueError(f"negative swap price for voter {v}")
-                fixed[_pair(a, b)] = int(cost)
+                pair = _pair(*key)
+                if fixed.setdefault(pair, cost) != cost:
+                    raise ValueError(f"voter {v}: two prices for pair {pair}")
             normalized.append(fixed)
         self.tables = tuple(normalized)
 
@@ -84,7 +104,11 @@ class SwapPriceFunction:
         return cls([dict(table) for _ in range(n)])
 
     def check_complete(self, m):
+        """Every pair of ``0..m-1`` priced for every voter, and no other."""
         for v, table in enumerate(self.tables):
+            for a, b in table:
+                if a < 0 or b >= m:
+                    raise ValueError(f"voter {v}: swap price for pair {(a, b)} outside 0..{m - 1}")
             for a, b in combinations(range(m), 2):
                 if _pair(a, b) not in table:
                     raise ValueError(f"voter {v} missing price for pair {(a, b)}")
@@ -343,6 +367,37 @@ def _cheapest_choice(options, m, p, unique, budget):
     return None if best_cost is None else (best_cost, best_keys)
 
 
+def _swap_options(e, alpha, prices):
+    """Per voter, the ``(cost, target, column)`` of every target order,
+    cheapest first and ties in target order.
+
+    The targets, their point columns and their "above" cells ``a * m + b``
+    (``a`` ranked above ``b``) are tabulated once. A voter's weights ``w``
+    hold at cell ``a * m + b`` the price of ``{a, b}`` when the voter ranks
+    ``b`` above ``a``, else 0, so the sum of ``w`` over a target's cells is
+    the sum of its discordant pair prices (:func:`min_cost_to_target`).
+    ``permutations`` yields the targets in lexicographic order and the sort
+    is stable, so sorting their indices by cost gives the (cost, target)
+    order.
+    """
+    m = e.m
+    targets = list(permutations(range(m)))
+    columns = [tuple(_tally([t], alpha, m)) for t in targets]
+    cells = [[a * m + b for i, a in enumerate(t) for b in t[i + 1 :]] for t in targets]
+    options = []
+    for vi, voter in enumerate(e.voters):
+        table = prices.voter_table(vi)
+        ranking = voter.ranking
+        w = [0] * (m * m)
+        for i, b in enumerate(ranking):
+            for a in ranking[i + 1 :]:
+                w[a * m + b] = table[_pair(a, b)]
+        costs = [sum(map(w.__getitem__, c)) for c in cells]
+        ranked = sorted(range(len(targets)), key=costs.__getitem__)
+        options.append([(costs[j], targets[j], columns[j]) for j in ranked])
+    return options
+
+
 def swap_bribery(
     e: Election,
     rule: ScoringVector,
@@ -373,16 +428,7 @@ def swap_bribery(
     if e.n > BRANCH_MAX_N:
         raise CapacityError(f"swap bribery limited to n <= {BRANCH_MAX_N}, got {e.n}")
 
-    all_orders = list(permutations(range(e.m)))
-    columns = {order: tuple(_tally([order], alpha, e.m)) for order in all_orders}
-    options = []
-    for vi, voter in enumerate(e.voters):
-        table = sorted(
-            (min_cost_to_target(voter, PreferenceOrder(t), prices.voter_table(vi)), t)
-            for t in all_orders
-        )
-        options.append([(cost, t, columns[t]) for cost, t in table])
-    found = _cheapest_choice(options, e.m, p, unique, budget)
+    found = _cheapest_choice(_swap_options(e, alpha, prices), e.m, p, unique, budget)
     if found is None:
         return None
     best_cost, best_choice = found
@@ -410,6 +456,29 @@ def _shifted(order: PreferenceOrder, p, t):
     return PreferenceOrder(ranking)
 
 
+def _shift_options(e, alpha, p, tariffs):
+    """Per voter, the ``(cost, t, column)`` of shifting ``p`` up ``t``
+    positions, for ``t`` from 0 to ``p``'s position.
+
+    The column starts as the voter's own and follows ``p`` up one slot at
+    a time: ``p`` takes the points of the slot it enters and the
+    alternative it passes takes those of the slot ``p`` leaves.
+    """
+    options = []
+    for vi, voter in enumerate(e.voters):
+        ranking = voter.ranking
+        rho = tariffs.rhos[vi]
+        column = _tally([ranking], alpha, e.m)
+        per_voter = [(rho[0], 0, tuple(column))]
+        q = ranking.index(p)
+        for t in range(1, q + 1):
+            column[p] = alpha[q - t]
+            column[ranking[q - t]] = alpha[q - t + 1]
+            per_voter.append((rho[t], t, tuple(column)))
+        options.append(per_voter)
+    return options
+
+
 def shift_bribery(
     e: Election,
     rule: ScoringVector,
@@ -431,14 +500,7 @@ def shift_bribery(
         return _finish_plan(e, rule, p, "shift", [], 0, unique)
     if e.n > BRANCH_MAX_N:
         raise CapacityError(f"shift bribery limited to n <= {BRANCH_MAX_N}, got {e.n}")
-    options = []
-    for vi, voter in enumerate(e.voters):
-        per_voter = []
-        for t in range(voter.rank_of(p)):
-            column = tuple(_tally([_shifted(voter, p, t).ranking], rule.alpha, e.m))
-            per_voter.append((shift_prices.cost(vi, t), t, column))
-        options.append(per_voter)
-    found = _cheapest_choice(options, e.m, p, unique, budget)
+    found = _cheapest_choice(_shift_options(e, rule.alpha, p, shift_prices), e.m, p, unique, budget)
     if found is None:
         return None
     best_cost, best_shifts = found

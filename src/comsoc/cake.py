@@ -22,7 +22,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 
+from .errors import CapacityError
+
 MAX_DEGREE = 3
+MAX_PIECES = 10_000
 MEASURE_TOLERANCE = Fraction(1, 10**12)
 DEFAULT_EPS = Fraction(1, 10**9)
 SQRT_SCALE = 10**18
@@ -125,11 +128,15 @@ class PiecewisePolyDensity:
     ``pieces`` is a sequence of ``(lo, hi, coeffs)`` with rational bounds
     and coefficients, the intervals partitioning [0, 1] in order. The
     density must be nonnegative everywhere and integrate to exactly 1.
+    More than ``MAX_PIECES`` pieces raise :class:`CapacityError`.
     """
 
     __slots__ = ("pieces",)
 
     def __init__(self, pieces):
+        pieces = list(pieces)
+        if len(pieces) > MAX_PIECES:
+            raise CapacityError(f"density has {len(pieces)} pieces, limit {MAX_PIECES}")
         fixed = []
         for lo, hi, coeffs in pieces:
             lo, hi = _frac(lo), _frac(hi)

@@ -181,7 +181,7 @@ def _cmd_bribe(args):
         if tables is None:
             price_fn = SwapPriceFunction.unit(e.n, e.m)
         else:
-            price_fn = SwapPriceFunction([{(a, b): c for a, b, c in t} for t in tables])
+            price_fn = SwapPriceFunction([[((a, b), c) for a, b, c in t] for t in tables])
         plan = swap_bribery(e, rule, args.target, price_fn, args.budget, unique=args.unique_winner)
     else:
         tariffs = prices.get("shift_tariffs")
@@ -269,7 +269,7 @@ def _cmd_wcs(args):
 
 
 def _cmd_cake(args):
-    from .cake import check_fairness, cut_and_choose, last_diminisher, welfare
+    from .cake import check_fairness, cut_and_choose, last_diminisher
     from .fileio import format_fraction, parse_densities
 
     densities = parse_densities(_read_text(args.infile))
@@ -278,6 +278,7 @@ def _cmd_cake(args):
     else:
         division = last_diminisher(densities)
     report = check_fairness(division, densities)
+    own = [row[p] for p, row in enumerate(report.values)]
     payload = {
         "protocol": args.protocol,
         "division": [
@@ -289,8 +290,8 @@ def _cmd_cake(args):
         "envy_free": report.envy_free,
         "equitable": report.equitable,
         "equal_valued": report.equal_valued,
-        "utilitarian": format_fraction(welfare(division, densities, "utilitarian")),
-        "egalitarian": format_fraction(welfare(division, densities, "egalitarian")),
+        "utilitarian": format_fraction(sum(own)),
+        "egalitarian": format_fraction(min(own)),
     }
     return _emit("cake", payload)
 

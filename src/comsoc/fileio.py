@@ -221,12 +221,25 @@ def format_fraction(value: Fraction) -> str:
 
 
 def parse_densities(text: str):
-    """List of per-player densities from the block format."""
-    from .cake import PiecewisePolyDensity
+    """List of per-player densities from the block format.
+
+    A player with more than ``cake.MAX_PIECES`` pieces raises
+    :class:`CapacityError` before any number is parsed.
+    """
+    from .cake import MAX_PIECES, PiecewisePolyDensity
 
     lines = _significant_lines(text)
     if not lines:
         raise ParseError("empty density file")
+    count = 0
+    for lineno, line in lines:
+        directive = line.split(None, 1)[0]
+        if directive == "player":
+            count = 0
+        elif directive == "piece":
+            count += 1
+            if count > MAX_PIECES:
+                raise CapacityError(f"line {lineno}: density has more than {MAX_PIECES} pieces")
     players = []
     current = None
     for lineno, line in lines:

@@ -3,7 +3,8 @@ import random
 import subprocess
 import sys
 import time
-from itertools import combinations, permutations, product
+from itertools import accumulate, combinations, permutations, product
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 from comsoc import bribery
 from comsoc.bribery import (
     BRANCH_MAX_N,
+    SWAP_MAX_M,
     BriberyBudget,
     ShiftPriceFunction,
     SwapPriceFunction,
@@ -688,6 +690,134 @@ class TestBoundedSearch:
         assert solve() == with_plain_search(solve)
 
 
+def plain_swap_options(e, alpha, prices):
+    """Oracle: every target order priced by :func:`min_cost_to_target` on a
+    fresh PreferenceOrder and tallied alone, sorted by (cost, target)."""
+    targets = list(permutations(range(e.m)))
+    columns = {t: tuple(oracle_tally([t], alpha, e.m)) for t in targets}
+    options = []
+    for vi, voter in enumerate(e.voters):
+        table = sorted(
+            (min_cost_to_target(voter, PreferenceOrder(t), prices.voter_table(vi)), t)
+            for t in targets
+        )
+        options.append([(cost, t, columns[t]) for cost, t in table])
+    return options
+
+
+def plain_shift_options(e, alpha, p, tariffs):
+    """Oracle: every shifted order built with ``_shifted`` and tallied alone."""
+    options = []
+    for vi, voter in enumerate(e.voters):
+        shifted = [bribery._shifted(voter, p, t).ranking for t in range(voter.rank_of(p))]
+        options.append(
+            [(tariffs.cost(vi, t), t, tuple(oracle_tally([o], alpha, e.m))) for t, o in enumerate(shifted)]
+        )
+    return options
+
+
+def option_rule(rng, m):
+    """A rule of :func:`random_rule`, or a random nonincreasing vector."""
+    if rng.random() < 0.25:
+        return ScoringVector(tuple(sorted((rng.randint(0, 4) for _ in range(m)), reverse=True)))
+    return random_rule(rng, m)
+
+
+def option_instance(orders, m, p, rule, pair_prices, steps):
+    """``(profile, alpha, p, swap prices, tariffs)`` for the option builders.
+
+    Per voter, ``pair_prices`` holds one price per pair (in
+    ``combinations`` order) and ``steps`` the tariff steps, of which the
+    first ``position of p - 1`` are used. An Election needs a voter, so
+    with no orders the profile is a stand-in holding just the ``m`` and
+    ``voters`` that the builders read.
+    """
+    e = Election(orders) if orders else SimpleNamespace(m=m, voters=())
+    pairs = list(combinations(range(m), 2))
+    prices = SwapPriceFunction([dict(zip(pairs, row)) for row in pair_prices])
+    tariffs = ShiftPriceFunction(
+        [(0, *accumulate(row[: order.index(p)])) for order, row in zip(orders, steps)]
+    )
+    return e, rule.alpha, p, prices, tariffs
+
+
+def seeded_option_instances(seed, count):
+    """``count`` instances cycling m through 1..6, with n 0..6, pair prices
+    and tariff steps 0..4 and the rules of :func:`option_rule`."""
+    rng = random.Random(seed)
+    for trial in range(count):
+        m = 1 + trial % 6
+        n = rng.randint(0, 6)
+        orders = [tuple(rng.sample(range(m), m)) for _ in range(n)]
+        pair_prices = [[rng.randint(0, 4) for _ in range(m * (m - 1) // 2)] for _ in range(n)]
+        steps = [[rng.randint(0, 4) for _ in range(m)] for _ in range(n)]
+        yield option_instance(orders, m, rng.randrange(m), option_rule(rng, m), pair_prices, steps)
+
+
+class TestOptionTables:
+    """The per-solve option tables equal the per-option builders entry by
+    entry: same ``(cost, key, column)`` in the same order."""
+
+    def test_swap_options_match_plain_builder(self):
+        for trial, (e, alpha, _, prices, _) in enumerate(seeded_option_instances(35, 360)):
+            assert bribery._swap_options(e, alpha, prices) == plain_swap_options(
+                e, alpha, prices
+            ), f"trial {trial}"
+
+    def test_shift_options_match_plain_builder(self):
+        for trial, (e, alpha, p, _, tariffs) in enumerate(seeded_option_instances(36, 360)):
+            assert bribery._shift_options(e, alpha, p, tariffs) == plain_shift_options(
+                e, alpha, p, tariffs
+            ), f"trial {trial}"
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_options_match_plain_builders_property(self, data):
+        m = data.draw(st.integers(1, 6))
+        n = data.draw(st.integers(0, 6))
+        orders = [tuple(data.draw(st.permutations(range(m)))) for _ in range(n)]
+        prices = st.lists(st.integers(0, 4), min_size=m * (m - 1) // 2, max_size=m * (m - 1) // 2)
+        steps = st.lists(st.integers(0, 4), min_size=m, max_size=m)
+        points = data.draw(st.lists(st.integers(0, 4), min_size=m, max_size=m))
+        e, alpha, p, price_fn, tariffs = option_instance(
+            orders,
+            m,
+            data.draw(st.integers(0, m - 1)),
+            ScoringVector(tuple(sorted(points, reverse=True))),
+            [data.draw(prices) for _ in range(n)],
+            [data.draw(steps) for _ in range(n)],
+        )
+        assert bribery._swap_options(e, alpha, price_fn) == plain_swap_options(e, alpha, price_fn)
+        assert bribery._shift_options(e, alpha, p, tariffs) == plain_shift_options(
+            e, alpha, p, tariffs
+        )
+
+
+class TestSwapPrices:
+    FULL = {pair: 1 for pair in combinations(range(3), 2)}
+
+    def test_self_pair_rejected(self):
+        with pytest.raises(ValueError, match="not a distinct pair"):
+            SwapPriceFunction([{**self.FULL, (2, 2): 5}])
+
+    @pytest.mark.parametrize("table", [{(0, 1): 1, (1, 0): 7}, [((0, 1), 1), ((0, 1), 7)]])
+    def test_two_prices_for_one_pair_rejected(self, table):
+        with pytest.raises(ValueError, match="two prices for pair"):
+            SwapPriceFunction([table])
+
+    def test_one_pair_named_twice_at_one_price_is_kept(self):
+        assert SwapPriceFunction([[((1, 0), 3), ((0, 1), 3)]]).tables == ({(0, 1): 3},)
+
+    @pytest.mark.parametrize("pair", [(0, 9), (-1, 2), (0, 3)])
+    def test_alternative_outside_the_election_rejected(self, pair):
+        e = Election([(0, 1, 2), (2, 1, 0)])
+        prices = SwapPriceFunction([{**self.FULL, pair: 5}, self.FULL])
+        with pytest.raises(ValueError, match="outside 0..2"):
+            prices.check_complete(e.m)
+        with pytest.raises(ValueError, match="outside 0..2"):
+            swap_bribery(e, ScoringVector.borda(3), 1, prices, 3)
+
+
 def full_rewrite_feasible(e, alpha, p, subset, unique, tables=None):
     """Oracle: the rewrite search over every sequence of rival orderings,
     cut only when a rival overshoots. ``tables`` is ignored; it is there so
@@ -833,6 +963,16 @@ class TestCliffs:
         assert shift_bribery(e, rule, p, tariffs, plan.cost - 1) is None
         assert time.perf_counter() - start < 5
 
+    def test_swap_capacity_edge_m6_n500(self):
+        # The largest swap instance the limits admit. Building every option
+        # through PreferenceOrder pairs took 2.6 s (one core of a 2-core
+        # x86-64 container, Python 3.11) before the search began.
+        e = generate(GeneratorSpec("impartial-culture", SWAP_MAX_M, BRANCH_MAX_N, 1)).election
+        rule, p = ScoringVector.borda(e.m), lowest_borda_scorer(e)
+        prices = SwapPriceFunction.unit(e.n, e.m)
+        start = time.perf_counter()
+        assert swap_bribery(e, rule, p, prices, 3) is None
+        assert time.perf_counter() - start < 2
 
     @pytest.mark.parametrize("n, cost", [(14, 6), (16, 7)])
     def test_unit_single_peaked_m6(self, n, cost):

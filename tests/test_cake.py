@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from comsoc.cake import (
     DEFAULT_EPS,
+    MAX_PIECES,
     Division,
     Piece,
     PiecewisePolyDensity,
@@ -19,6 +20,8 @@ from comsoc.cake import (
     welfare,
 )
 from comsoc.cake import _solve_linear_piece
+from comsoc.errors import CapacityError
+from comsoc.fileio import parse_densities
 
 F = Fraction
 
@@ -159,6 +162,25 @@ class TestDensityValidation:
         cubic = (F(0), F(1, 4), F(-1), F(1))
         f = PiecewisePolyDensity.normalized([(0, 1, cubic)])
         assert f.measure_interval(0, 1) == 1
+
+    def test_piece_cap(self):
+        def pieces(k):
+            return [(F(i, k), F(i + 1, k), (F(1),)) for i in range(k)]
+
+        assert len(PiecewisePolyDensity(pieces(MAX_PIECES)).pieces) == MAX_PIECES
+        with pytest.raises(CapacityError, match=f"limit {MAX_PIECES}"):
+            PiecewisePolyDensity(pieces(MAX_PIECES + 1))
+
+    def test_piece_cap_in_parser_before_numbers(self):
+        # The extra piece line is malformed: the count is checked first.
+        lines = ["player 0"] + ["piece 0 1 1"] * MAX_PIECES + ["piece x y z"]
+        with pytest.raises(CapacityError, match=f"more than {MAX_PIECES} pieces"):
+            parse_densities("\n".join(lines))
+        # Each player has its own allowance, so these blocks reach the
+        # density checks.
+        block = "\n".join(["piece 0 1 1"] * MAX_PIECES)
+        with pytest.raises(ValueError, match="contiguous"):
+            parse_densities(f"player 0\n{block}\nplayer 1\n{block}\n")
 
     def test_degree_cap(self):
         with pytest.raises(ValueError, match="degree"):

@@ -19,6 +19,8 @@ CIRCUIT = str(DATA / "circuit_maj3.txt")
 DENSITIES = str(DATA / "densities_2p.txt")
 MAB = str(DATA / "mab_small.json")
 SWAP_PRICES = str(DATA / "swap_prices.json")
+# Unit swap prices for every pair of E4X3's four alternatives.
+FULL_SWAP = [[a, b, 1] for a in range(4) for b in range(a + 1, 4)]
 
 
 def run(capsys, *argv):
@@ -239,6 +241,12 @@ class TestBribe:
             ("swap", {"swap_prices": [[[0, 1, 1, 1]], [[0, 1, 1, 1]], [[0, 1, 1, 1]]]}),
             ("priced", {"voter_prices": [True]}),
             ("shift", {"shift_tariffs": [[0, "1"]]}),
+            # A complete table for each voter, plus one bad entry for voter 0:
+            # an alternative outside 0..3, a self-pair, and a second price
+            # for the pair {0, 1}.
+            ("swap", {"swap_prices": [FULL_SWAP + [[0, 9, 5]], FULL_SWAP, FULL_SWAP]}),
+            ("swap", {"swap_prices": [FULL_SWAP + [[2, 2, 5]], FULL_SWAP, FULL_SWAP]}),
+            ("swap", {"swap_prices": [FULL_SWAP + [[1, 0, 7]], FULL_SWAP, FULL_SWAP]}),
         ],
     )
     def test_malformed_prices_are_input_errors(self, tmp_path, capsys, flavor, prices):
@@ -395,6 +403,30 @@ class TestMabWcsCake:
             )
             assert code == 0
             assert payload["proportional"] is True
+
+    def test_cake_welfare_is_the_own_piece_values(self, capsys):
+        from comsoc.cake import cut_and_choose, last_diminisher, welfare
+        from comsoc.fileio import format_fraction, parse_densities
+
+        densities = parse_densities(Path(DENSITIES).read_text())
+        for protocol, solve in (("cut-and-choose", cut_and_choose), ("last-diminisher", last_diminisher)):
+            _, payload = run_json(capsys, "cake", "--in", DENSITIES, "--protocol", protocol)
+            division = solve(densities)
+            for kind in ("utilitarian", "egalitarian"):
+                assert payload[kind] == format_fraction(welfare(division, densities, kind))
+
+    def test_cake_too_many_pieces_is_capacity_error(self, tmp_path, capsys):
+        from comsoc.cake import MAX_PIECES
+
+        k = MAX_PIECES + 1
+        lines = ["player 0", "piece 0 1 1", "player 1"]
+        lines += [f"piece {i}/{k} {i + 1}/{k} 1" for i in range(k)]
+        path = tmp_path / "many.txt"
+        path.write_text("\n".join(lines) + "\n")
+        code = main(["cake", "--in", str(path), "--protocol", "cut-and-choose"])
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == ""
+        assert captured.err.startswith("capacity error:") and captured.err.count("\n") == 1
 
 
 class TestGen:

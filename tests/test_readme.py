@@ -24,6 +24,7 @@ CAPACITY_ROWS = {
     "`wcs_solve`": [circuits.WCS_MAX_COMBINATIONS],
     "`mab_solve`": [circuits.MAB_MAX_PROPOSALS],
     "density degree": [cake.MAX_DEGREE],
+    "density pieces": [cake.MAX_PIECES],
 }
 
 

@@ -63,6 +63,20 @@ MUTANTS = (
         ("tests/test_bribery.py::TestBoundedSearch",),
     ),
     Mutant(
+        "swap-weight-counts-concordant-pairs",
+        "src/comsoc/bribery.py",
+        "w[a * m + b] = table[_pair(a, b)]",
+        "w[b * m + a] = table[_pair(a, b)]",
+        ("tests/test_bribery.py::TestOptionTables",),
+    ),
+    Mutant(
+        "shift-column-keeps-passed-points",
+        "src/comsoc/bribery.py",
+        "            column[ranking[q - t]] = alpha[q - t + 1]\n",
+        "",
+        ("tests/test_bribery.py::TestOptionTables",),
+    ),
+    Mutant(
         "dodgson-memo-cuts-cheaper-revisit",
         "src/comsoc/dodgson.py",
         "if seen is not None and seen <= cost:",
