@@ -197,7 +197,7 @@ def apply_swap_sequence(order, seq, prices):
     """
     if not isinstance(order, PreferenceOrder):
         order = PreferenceOrder(order)
-    current = list(order.ranking)
+    current = list(order)
     cost = 0
     for idx, (a, b) in enumerate(seq):
         pa, pb = current.index(a), current.index(b)
@@ -215,9 +215,9 @@ def bubble_sequence(order, target):
         order = PreferenceOrder(order)
     if not isinstance(target, PreferenceOrder):
         target = PreferenceOrder(target)
-    current = list(order.ranking)
+    current = list(order)
     seq = []
-    for goal_pos, alt in enumerate(target.ranking):
+    for goal_pos, alt in enumerate(target):
         pos = current.index(alt)
         while pos > goal_pos:
             seq.append((current[pos - 1], current[pos]))
@@ -257,10 +257,10 @@ def _check_instance(e, rule, p, budget):
 
 
 def _finish_plan(e, rule, p, flavor, actions, cost, unique):
-    orders = list(v.ranking for v in e.voters)
+    orders = list(e.voters)
     for action in actions:
-        orders[action.voter] = action.new_order.ranking
-    result = Election([PreferenceOrder(o) for o in orders], labels=e.labels)
+        orders[action.voter] = action.new_order
+    result = Election(orders, labels=e.labels)
     if not _wins(_tally(orders, rule.alpha, e.m), p, unique):
         raise AssertionError(f"{flavor} plan leaves {p} losing")
     return BriberyPlan(flavor, tuple(actions), cost, result)
@@ -387,10 +387,9 @@ def _swap_options(e, alpha, prices):
     options = []
     for vi, voter in enumerate(e.voters):
         table = prices.voter_table(vi)
-        ranking = voter.ranking
         w = [0] * (m * m)
-        for i, b in enumerate(ranking):
-            for a in ranking[i + 1 :]:
+        for i, b in enumerate(voter):
+            for a in voter[i + 1 :]:
                 w[a * m + b] = table[_pair(a, b)]
         costs = [sum(map(w.__getitem__, c)) for c in cells]
         ranked = sorted(range(len(targets)), key=costs.__getitem__)
@@ -422,7 +421,7 @@ def swap_bribery(
         raise ValueError(f"{len(prices.tables)} swap price tables for {e.n} voters")
     prices.check_complete(e.m)
     alpha = rule.alpha
-    base = _tally([v.ranking for v in e.voters], alpha, e.m)
+    base = _tally(e.voters, alpha, e.m)
     if _wins(base, p, unique):
         return _finish_plan(e, rule, p, "swap", [], 0, unique)
     if e.n > BRANCH_MAX_N:
@@ -434,7 +433,7 @@ def swap_bribery(
     best_cost, best_choice = found
     actions = []
     for vi, target in enumerate(best_choice):
-        if target != e.voters[vi].ranking:
+        if target != e.voters[vi]:
             order = PreferenceOrder(target)
             seq = bubble_sequence(e.voters[vi], order)
             actions.append(
@@ -449,8 +448,8 @@ def swap_bribery(
 
 
 def _shifted(order: PreferenceOrder, p, t):
-    pos = order.rank_of(p) - 1
-    ranking = list(order.ranking)
+    pos = order.index(p)
+    ranking = list(order)
     del ranking[pos]
     ranking.insert(pos - t, p)
     return PreferenceOrder(ranking)
@@ -465,15 +464,14 @@ def _shift_options(e, alpha, p, tariffs):
     alternative it passes takes those of the slot ``p`` leaves.
     """
     options = []
-    for vi, voter in enumerate(e.voters):
-        ranking = voter.ranking
+    for vi, order in enumerate(e.voters):
         rho = tariffs.rhos[vi]
-        column = _tally([ranking], alpha, e.m)
+        column = _tally([order], alpha, e.m)
         per_voter = [(rho[0], 0, tuple(column))]
-        q = ranking.index(p)
+        q = order.index(p)
         for t in range(1, q + 1):
             column[p] = alpha[q - t]
-            column[ranking[q - t]] = alpha[q - t + 1]
+            column[order[q - t]] = alpha[q - t + 1]
             per_voter.append((rho[t], t, tuple(column)))
         options.append(per_voter)
     return options
@@ -496,7 +494,7 @@ def shift_bribery(
     """
     _check_instance(e, rule, p, budget)
     shift_prices.check_against(e, p)
-    if _wins(_tally([v.ranking for v in e.voters], rule.alpha, e.m), p, unique):
+    if _wins(_tally(e.voters, rule.alpha, e.m), p, unique):
         return _finish_plan(e, rule, p, "shift", [], 0, unique)
     if e.n > BRANCH_MAX_N:
         raise CapacityError(f"shift bribery limited to n <= {BRANCH_MAX_N}, got {e.n}")
@@ -553,7 +551,7 @@ def _rewrite_feasible(e, alpha, p, subset, unique, tables):
     the one the full search returns.
     """
     orders, columns, low = tables
-    fixed = [v.ranking for i, v in enumerate(e.voters) if i not in subset]
+    fixed = [v for i, v in enumerate(e.voters) if i not in subset]
     scores = _tally(fixed, alpha, e.m)
     p_final = scores[p] + len(subset) * alpha[0] - unique
     chosen = []

@@ -114,7 +114,7 @@ def _cmd_kemeny(args):
         result = kemeny_dp(e)
     payload = {
         "score": result.score,
-        "ranking": list(result.ranking.ranking),
+        "ranking": list(result.ranking),
         "d_a": avg_pairwise_distance(e),
         "method": args.method,
     }
@@ -311,7 +311,7 @@ def _cmd_gen(args):
         "n": result.election.n,
         "model": args.model,
         "seed": args.seed,
-        "orders": [list(v.ranking) for v in result.election.voters],
+        "orders": [list(v) for v in result.election.voters],
     }
     if result.axis is not None:
         payload["axis"] = list(result.axis)

@@ -83,10 +83,13 @@ def approval_view(e: Election, d: int) -> ApprovalView:
     """Approval sets and scores at depth ``d`` (requires ``1 <= d < m``)."""
     if not 1 <= d < e.m:
         raise ValueError(f"approval depth {d} out of range for m={e.m}")
-    top = {order: order.top(d) for order, _ in e.types()}
-    approves = tuple(top[v] for v in e.voters)
-    scores = _tally([v.ranking for v in e.voters], (1,) * d, e.m)
-    return ApprovalView(d, approves, tuple(scores))
+    types = e.types()
+    top = {order: order.top(d) for order, _ in types}
+    scores = [0] * e.m
+    for order, count in types:
+        for c in top[order]:
+            scores[c] += count
+    return ApprovalView(d, tuple(map(top.__getitem__, e.voters)), tuple(scores))
 
 
 def relevance_split(e: Election, d: int, p: int) -> RelevanceSplit:
@@ -95,15 +98,15 @@ def relevance_split(e: Election, d: int, p: int) -> RelevanceSplit:
     sp = view.scores[p]
     irrelevant = frozenset(c for c in range(e.m) if c != p and view.scores[c] < sp)
     relevant = frozenset(c for c in range(e.m) if c != p and c not in irrelevant)
-    v_p = tuple(i for i, ap in enumerate(view.approves) if p in ap)
-    v_r = tuple(
-        i
-        for i, ap in enumerate(view.approves)
-        if p not in ap and ap & relevant
-    )
+    # Voters with equal orders share one approval set, so each distinct set
+    # is tested once: None for p's approvers, else its relevant alternatives.
+    approves = view.approves
+    key_of = {ap: None if p in ap else ap & relevant for ap in set(approves)}
+    v_p = tuple(i for i, ap in enumerate(approves) if key_of[ap] is None)
+    v_r = tuple(i for i, ap in enumerate(approves) if key_of[ap])
     classes = {}
     for i in v_r:
-        classes.setdefault(view.approves[i] & relevant, []).append(i)
+        classes.setdefault(key_of[approves[i]], []).append(i)
     classes = {key: tuple(members) for key, members in classes.items()}
     return RelevanceSplit(p, irrelevant, relevant, v_p, v_r, classes, view.scores)
 
@@ -123,7 +126,7 @@ def reduce_instance(e: Election, d: int, p: int) -> Election:
 
 
 def _wins_after_deletion(e: Election, d: int, p: int, deleted, unique: bool) -> bool:
-    remaining = [v.ranking for i, v in enumerate(e.voters) if i not in deleted]
+    remaining = [v for i, v in enumerate(e.voters) if i not in deleted]
     return bool(remaining) and _wins(_tally(remaining, (1,) * d, e.m), p, unique)
 
 

@@ -72,7 +72,7 @@ def build_program(e: Election, c) -> DodgsonProgram:
     types = e.types()
     passed = []
     for order, _ in types:
-        pos = order.rank_of(c) - 1
+        pos = order.index(c)
         passed.append(tuple(order[pos - 1 - k] for k in range(pos)))
     return DodgsonProgram(types, c, deficits, tuple(passed))
 
@@ -225,7 +225,7 @@ def dodgson_bruteforce(e: Election, c, k_cap, max_k: int = BRUTE_FORCE_MAX_K):
     if k_cap > max_k:
         raise CapacityError(f"k_cap {k_cap} above limit {max_k}")
     m, n = e.m, e.n
-    start = tuple(v.ranking for v in e.voters)
+    start = e.voters
     if _is_condorcet(start, c, m, n):
         return 0
     frontier = [start]

@@ -6,11 +6,12 @@ every algorithm works on ids. Scores and tallies are plain Python integers,
 so there is no overflow and no floating point in any election computation.
 
 All objects are immutable after construction and safe to share between
-threads; the module-level operations are pure functions. Two caches are
-filled on first use: a :class:`PreferenceOrder`'s rank table and an
-:class:`Election`'s majority matrix, so each election is tallied once.
-Every fill computes and writes the same value, so a race between threads
-only repeats work; neither cache takes part in equality or hashing.
+threads; the module-level operations are pure functions. A
+:class:`PreferenceOrder` is its tuple of ids. The one cache is an
+:class:`Election`'s majority matrix, filled on first use, so each election
+is tallied once. Every fill computes and writes the same value, so a race
+between threads only repeats work; the cache takes no part in equality or
+hashing.
 :meth:`Election.types` is the one grouping of voters by preference order,
 and the tally runs over it.
 """
@@ -22,8 +23,13 @@ from collections import Counter
 from dataclasses import dataclass
 
 
-class PreferenceOrder:
+class PreferenceOrder(tuple):
     """A voter's complete strict ranking of the alternatives.
+
+    The order is the tuple of its alternative ids, most-preferred first,
+    checked on construction to be a permutation of ``0..m-1``. It compares,
+    hashes and sorts as that plain tuple, so ``PreferenceOrder((1, 0)) ==
+    (1, 0)``, and equality, hashing and grouping run at tuple speed.
 
     Parameters
     ----------
@@ -32,70 +38,37 @@ class PreferenceOrder:
         ``0..m-1``.
     """
 
-    __slots__ = ("ranking", "_ranks")
+    __slots__ = ()
 
-    def __init__(self, ranking):
-        ranking = tuple(ranking)
-        m = len(ranking)
-        if sorted(ranking) != list(range(m)):
-            raise ValueError(f"ranking {ranking!r} is not a permutation of 0..{m - 1}")
-        object.__setattr__(self, "ranking", ranking)
+    def __new__(cls, ranking):
+        self = tuple.__new__(cls, ranking)
+        if sorted(self) != list(range(len(self))):
+            raise ValueError(f"ranking {tuple(self)!r} is not a permutation of 0..{len(self) - 1}")
+        return self
 
-    def __setattr__(self, name, value):
-        raise AttributeError("PreferenceOrder is immutable")
+    @property
+    def ranking(self):
+        """The order itself, as the tuple of ids most-preferred first."""
+        return self
 
     @property
     def m(self):
-        return len(self.ranking)
-
-    def _rank_table(self):
-        """Build and store the position of every alternative, 1-based."""
-        ranks = [0] * len(self.ranking)
-        for pos, alt in enumerate(self.ranking, 1):
-            ranks[alt] = pos
-        ranks = tuple(ranks)
-        object.__setattr__(self, "_ranks", ranks)
-        return ranks
+        return len(self)
 
     def rank_of(self, alt):
         """1-based position of ``alt``; the top choice has rank 1."""
-        try:
-            ranks = self._ranks
-        except AttributeError:
-            ranks = self._rank_table()
-        return ranks[alt]
+        return self.index(alt) + 1
 
     def prefers(self, a, b):
         """True if this voter ranks ``a`` above ``b``."""
-        try:
-            ranks = self._ranks
-        except AttributeError:
-            ranks = self._rank_table()
-        return ranks[a] < ranks[b]
+        return self.index(a) < self.index(b)
 
     def top(self, d=1):
         """The ``d`` most-preferred alternatives as a frozenset."""
-        return frozenset(self.ranking[:d])
-
-    def __iter__(self):
-        return iter(self.ranking)
-
-    def __len__(self):
-        return len(self.ranking)
-
-    def __getitem__(self, i):
-        return self.ranking[i]
-
-    def __eq__(self, other):
-        if isinstance(other, PreferenceOrder):
-            return self.ranking == other.ranking
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self.ranking)
+        return frozenset(self[:d])
 
     def __repr__(self):
-        return f"PreferenceOrder({list(self.ranking)})"
+        return f"PreferenceOrder({list(self)})"
 
 
 class Election:
@@ -200,11 +173,12 @@ def majority_matrix(e: Election) -> MajorityMatrix:
     m = e.m
     wins = [[0] * m for _ in range(m)]
     for order, count in e.types():
-        r = order.ranking
-        for i in range(m):
-            above = r[i]
-            for j in range(i + 1, m):
-                wins[above][r[j]] += count
+        # Slices, not indexing: the order is a tuple subclass, and CPython
+        # specializes ``x[i]`` only for exact tuples.
+        for i, above in enumerate(order):
+            row = wins[above]
+            for below in order[i + 1 :]:
+                row[below] += count
     matrix = MajorityMatrix(tuple(tuple(row) for row in wins), e.n)
     object.__setattr__(e, "_majority", matrix)
     return matrix
@@ -300,7 +274,7 @@ def scoring_winners(e: Election, vector: ScoringVector) -> ScoringResult:
     """
     if len(vector) != e.m:
         raise ValueError(f"scoring vector has length {len(vector)}, election has m={e.m}")
-    scores = _tally([v.ranking for v in e.voters], vector.alpha, e.m)
+    scores = _tally(e.voters, vector.alpha, e.m)
     best = max(scores)
     winners = tuple(c for c in e.alternatives() if scores[c] == best)
     return ScoringResult(winners, tuple(scores))
@@ -326,7 +300,7 @@ def kendall_tau(p, q) -> int:
     if p.m != q.m:
         raise ValueError(f"orders rank {p.m} and {q.m} alternatives")
     # Inversions of p's ranking as seen through q's positions.
-    seq = [q.rank_of(alt) for alt in p.ranking]
+    seq = list(map(q.index, p))
     inversions = 0
     sorted_so_far = []
     for i, u in enumerate(seq):

@@ -94,7 +94,7 @@ def write_election(e: Election) -> str:
     if e.labels is not None:
         lines.append("labels " + " ".join(e.labels))
     for v in e.voters:
-        lines.append(" ".join(str(a) for a in v.ranking))
+        lines.append(" ".join(map(str, v)))
     return "\n".join(lines) + "\n"
 
 

@@ -210,7 +210,7 @@ def group_separable_split(e: Election):
     """
     m = e.m
     tables = _rank_tables(e)
-    first = e.voters[0].ranking
+    first = e.voters[0]
     segments = [first[:s] for s in range(1, m)] + [first[s:] for s in range(1, m)]
     valid = [
         tuple(sorted(seg))
@@ -243,8 +243,9 @@ def sp_deletion_distance(e: Election, mode: str):
         voters_of = {}
         for i, v in enumerate(e.voters):
             voters_of.setdefault(v, []).append(i)
-        # ``voters_of`` and ``_rank_tables`` both follow first appearance.
-        tables = list(zip(voters_of.values(), _rank_tables(e)))
+        tables = [
+            (voters, [order.rank_of(a) for a in range(e.m)]) for order, voters in voters_of.items()
+        ]
         best = (e.n + 1, ())
         for axis in _axes(range(e.m)):
             dropped, size = [], 0

@@ -13,10 +13,10 @@ from comsoc.control import (
     reduce_instance,
     relevance_split,
 )
-from comsoc.elections import Election, ScoringVector, scoring_winners
+from comsoc.elections import Election, ScoringVector, _tally, scoring_winners
 from comsoc.generators import GeneratorSpec, generate
 
-from conftest import random_election
+from conftest import multiplicity_heavy, random_election
 
 
 def seeded_instances(base_seed, count, max_m=8, max_n=12, max_k=3):
@@ -34,6 +34,44 @@ def seeded_instances(base_seed, count, max_m=8, max_n=12, max_k=3):
     return out
 
 
+def plain_approval_view(e, d):
+    """The former ``approval_view``, tallying voter by voter; the oracle for
+    the tally over voter types."""
+    top = {order: order.top(d) for order, _ in e.types()}
+    approves = tuple(top[v] for v in e.voters)
+    scores = _tally(e.voters, (1,) * d, e.m)
+    return approves, tuple(scores)
+
+
+def plain_relevance_split(e, d, p):
+    """The former ``relevance_split``, testing every voter's approval set;
+    the oracle for the split over distinct sets."""
+    approves, scores = plain_approval_view(e, d)
+    sp = scores[p]
+    irrelevant = frozenset(c for c in range(e.m) if c != p and scores[c] < sp)
+    relevant = frozenset(c for c in range(e.m) if c != p and c not in irrelevant)
+    v_p = tuple(i for i, ap in enumerate(approves) if p in ap)
+    v_r = tuple(i for i, ap in enumerate(approves) if p not in ap and ap & relevant)
+    classes = {}
+    for i in v_r:
+        classes.setdefault(approves[i] & relevant, []).append(i)
+    classes = {key: tuple(members) for key, members in classes.items()}
+    return irrelevant, relevant, v_p, v_r, classes, scores
+
+
+def multiplicity_instances(base_seed, count):
+    """Control instances on a few distinct orders, each held by many voters."""
+    out = []
+    for i in range(count):
+        seed = base_seed + i
+        rng = random.Random(seed)
+        m = rng.randint(2, 7)
+        e = multiplicity_heavy(rng, m, 5, 8)
+        d = rng.randint(1, m - 1)
+        out.append((seed, ControlInstance(e, d, rng.randrange(m), rng.randint(0, e.n))))
+    return out
+
+
 def plain_count_vector_search(instance, unique=False):
     """The enumeration ``ccdv_fpt`` used before its in-place search.
 
@@ -44,16 +82,15 @@ def plain_count_vector_search(instance, unique=False):
     e, d, p, k = instance.election, instance.d, instance.p, instance.k
     if _wins_after_deletion(e, d, p, frozenset(), unique):
         return []
-    split = relevance_split(e, d, p)
-    scores = approval_view(e, d).scores
+    _, relevant, _, _, classes, scores = plain_relevance_split(e, d, p)
     if unique:
-        must_reduce = split.relevant
+        must_reduce = relevant
     else:
-        must_reduce = frozenset(c for c in split.relevant if scores[c] > scores[p])
+        must_reduce = frozenset(c for c in relevant if scores[c] > scores[p])
     if len(must_reduce) > d * k:
         return None
-    keys = sorted(split.classes, key=lambda key: tuple(sorted(key)))
-    members = [split.classes[key] for key in keys]
+    keys = sorted(classes, key=lambda key: tuple(sorted(key)))
+    members = [classes[key] for key in keys]
 
     def count_vectors(idx, left, acc):
         if idx == len(members):
@@ -125,6 +162,12 @@ class TestApprovalView:
                     if v == w:
                         assert view.approves[i] is view.approves[j]
 
+    def test_matches_per_voter_view(self):
+        for seed, inst in multiplicity_instances(74100, 80):
+            view = approval_view(inst.election, inst.d)
+            expected = plain_approval_view(inst.election, inst.d)
+            assert (view.approves, view.scores) == expected, f"seed {seed}"
+
     def test_depth_out_of_range(self, election_4x3):
         with pytest.raises(ValueError):
             approval_view(election_4x3, 0)
@@ -164,6 +207,16 @@ class TestRelevanceSplit:
                 view = approval_view(inst.election, inst.d)
                 for i in ms:
                     assert view.approves[i] & split.relevant == subset
+
+    def test_matches_per_voter_split(self):
+        for seed, inst in multiplicity_instances(74200, 120) + seeded_instances(74400, 40):
+            e, d, p = inst.election, inst.d, inst.p
+            split = relevance_split(e, d, p)
+            expected = plain_relevance_split(e, d, p)
+            got = (split.irrelevant, split.relevant, split.v_p, split.v_r, split.classes, split.scores)
+            assert got == expected, f"seed {seed}"
+            # Same classes in the same order of first appearance.
+            assert list(split.classes) == list(expected[4]), f"seed {seed}"
 
     def test_scores_are_the_approval_scores(self):
         for seed, inst in seeded_instances(71500, 30):
@@ -253,6 +306,7 @@ class TestSolver:
             + [(seed, ControlInstance(inst.election, inst.d, inst.p, inst.election.n))
                for seed, inst in seeded_instances(73950, 50)]
             + p_last_instances(73990, 60)
+            + multiplicity_instances(74600, 80)
         )
         for seed, inst in cases:
             expected = plain_count_vector_search(inst, unique)

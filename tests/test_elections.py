@@ -1,6 +1,7 @@
+import pickle
 import random
 import time
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import given, settings
@@ -80,6 +81,37 @@ class TestPreferenceOrder:
             order._ranks = (1, 2, 3)
         assert order.ranking == (1, 0, 2) and order.rank_of(2) == 3
 
+    def test_rejection_names_the_ranking(self):
+        with pytest.raises(ValueError, match=r"^ranking \(0, 0, 1, 2\) is not a permutation of 0\.\.3$"):
+            PreferenceOrder([0, 0, 1, 2])
+
+    def test_equals_hashes_and_sorts_as_its_plain_tuple(self):
+        order = PreferenceOrder((2, 0, 1))
+        assert order == (2, 0, 1) and (2, 0, 1) == order
+        assert hash(order) == hash((2, 0, 1))
+        assert {(2, 0, 1): "found"}[order] == "found"
+        assert order != (0, 2, 1)
+        orders = [PreferenceOrder(t) for t in ((1, 0, 2), (0, 2, 1), (0, 1, 2))]
+        assert sorted(orders) == [(0, 1, 2), (0, 2, 1), (1, 0, 2)]
+
+    def test_ranking_is_the_order(self):
+        order = PreferenceOrder((1, 2, 0))
+        assert order.ranking is order
+
+    def test_pickle_round_trip(self):
+        order = PreferenceOrder((3, 1, 0, 2))
+        copy = pickle.loads(pickle.dumps(order))
+        assert type(copy) is PreferenceOrder and copy == order
+
+    def test_rank_of_and_prefers_match_tuple_index(self):
+        for m in range(1, 6):
+            for ranking in permutations(range(m)):
+                order = PreferenceOrder(ranking)
+                for a in range(m):
+                    assert order.rank_of(a) == ranking.index(a) + 1
+                    for b in range(m):
+                        assert order.prefers(a, b) == (ranking.index(a) < ranking.index(b))
+
 
 class TestElection:
     def test_needs_a_voter(self):
@@ -121,6 +153,12 @@ class TestElection:
             ((1, 0, 2), 4),
             ((0, 1, 2), 1),
         ]
+
+    def test_hash_is_the_plain_tuple_hash(self):
+        orders = [(2, 0, 1), (0, 1, 2), (2, 0, 1)]
+        for labels in (None, ("x", "y", "z")):
+            e = Election(orders, labels=labels)
+            assert hash(e) == hash((tuple(orders), labels))
 
     def test_type_counts_sum_to_n(self):
         for k in range(40):

@@ -42,6 +42,20 @@ class Mutant:
 
 MUTANTS = (
     Mutant(
+        "order-check-admits-any-distinct-ids",
+        "src/comsoc/elections.py",
+        "if sorted(self) != list(range(len(self))):",
+        "if len(set(self)) != len(self):",
+        ("tests/test_elections.py::TestPreferenceOrder",),
+    ),
+    Mutant(
+        "tally-counts-alternative-over-itself",
+        "src/comsoc/elections.py",
+        "for below in order[i + 1 :]:",
+        "for below in order[i:]:",
+        ("tests/test_elections.py::TestMajorityMatrix",),
+    ),
+    Mutant(
         "rewrite-symmetry-start",
         "src/comsoc/bribery.py",
         "if rec(r - 1, j, [s - c",
@@ -72,7 +86,7 @@ MUTANTS = (
     Mutant(
         "shift-column-keeps-passed-points",
         "src/comsoc/bribery.py",
-        "            column[ranking[q - t]] = alpha[q - t + 1]\n",
+        "            column[order[q - t]] = alpha[q - t + 1]\n",
         "",
         ("tests/test_bribery.py::TestOptionTables",),
     ),
