@@ -29,7 +29,11 @@ node is cut when some rival cannot be caught within the budget, or when
 its cost plus the dearest rival's catch-up cost reaches the incumbent or
 exceeds the budget. The bound never exceeds the cost of a winning
 completion, so the first optimal plan in search order survives and the
-returned plan is the one the search finds without the bound.
+returned plan is the one the search finds without the bound. The tables
+are built from the last voter back, one min-plus step per voter over the
+margins its options give; each step fills one list in place and stops
+each option's row at its first cost over the budget
+(:func:`_rival_bound`).
 
 The option lists are built without a :class:`PreferenceOrder` per option.
 Swap (:func:`_swap_options`) tabulates every target order once per solve,
@@ -59,7 +63,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate, combinations, permutations
 
-from .elections import Election, PreferenceOrder, ScoringVector, _tally, _wins
+from .elections import Election, PreferenceOrder, ScoringVector, _tally, _type_tally, _wins
 from .errors import CapacityError
 
 SWAP_MAX_M = 6
@@ -278,6 +282,16 @@ def _rival_bound(options, p, c, budget):
     than that of a cheaper one never helps. The tables are filled from the
     last voter back by a min-plus step over the margins left, and the
     entries over ``budget``, all at the high end, are dropped.
+
+    The step fills one list in place. The cheapest margin ``d_lo`` writes
+    its row (its cost plus the next table), padded with ``budget + 1`` up
+    to the largest margin. A margin ``d`` then starts its row at offset
+    ``j = d - d_lo``: below it the row is flat at its cost plus
+    ``table[0]``, which overwrites only the entries above that value, as
+    the list is nondecreasing; from ``j`` on each entry is lowered where
+    the row is cheaper. Costs rise along the margins and every table is
+    nondecreasing, so a row stops at its first value over ``budget`` and
+    the walk stops at the first row that starts over it.
     """
     n = len(options)
     lows = [0] * (n + 1)
@@ -296,12 +310,23 @@ def _rival_bound(options, p, c, budget):
                 while front and front[-1][1] == cost:
                     front.pop()
                 front.append((d, cost))
-        d_lo, d_hi = front[0][0], front[-1][0]
-        rows = [
-            [cost + table[0]] * (d - d_lo) + [cost + x for x in table] + [budget + 1] * (d_hi - d)
-            for d, cost in front
-        ]
-        step = list(map(min, zip(*rows)))
+        d_lo, cost = front[0]
+        step = [cost + x for x in table]
+        step += [budget + 1] * (front[-1][0] - d_lo)
+        for d, cost in front[1:]:
+            flat = cost + table[0]
+            if flat > budget:
+                break
+            j = d - d_lo
+            i = bisect_right(step, flat, 0, j)
+            step[i:j] = [flat] * (j - i)
+            for x in table:
+                x += cost
+                if x > budget:
+                    break
+                if x < step[j]:
+                    step[j] = x
+                j += 1
         del step[bisect_right(step, budget) :]
         lows[vi], tables[vi] = lows[vi + 1] + d_lo, step
     return lows, tables
@@ -421,8 +446,7 @@ def swap_bribery(
         raise ValueError(f"{len(prices.tables)} swap price tables for {e.n} voters")
     prices.check_complete(e.m)
     alpha = rule.alpha
-    base = _tally(e.voters, alpha, e.m)
-    if _wins(base, p, unique):
+    if _wins(_type_tally(e, alpha), p, unique):
         return _finish_plan(e, rule, p, "swap", [], 0, unique)
     if e.n > BRANCH_MAX_N:
         raise CapacityError(f"swap bribery limited to n <= {BRANCH_MAX_N}, got {e.n}")
@@ -494,7 +518,7 @@ def shift_bribery(
     """
     _check_instance(e, rule, p, budget)
     shift_prices.check_against(e, p)
-    if _wins(_tally(e.voters, rule.alpha, e.m), p, unique):
+    if _wins(_type_tally(e, rule.alpha), p, unique):
         return _finish_plan(e, rule, p, "shift", [], 0, unique)
     if e.n > BRANCH_MAX_N:
         raise CapacityError(f"shift bribery limited to n <= {BRANCH_MAX_N}, got {e.n}")

@@ -13,7 +13,7 @@ is tallied once. Every fill computes and writes the same value, so a race
 between threads only repeats work; the cache takes no part in equality or
 hashing.
 :meth:`Election.types` is the one grouping of voters by preference order,
-and the tally runs over it.
+and the majority tally and the scoring winners run over it.
 """
 
 from __future__ import annotations
@@ -258,6 +258,18 @@ def _tally(orders, alpha, m):
     return scores
 
 
+def _type_tally(e, alpha):
+    """:func:`_tally` of ``e``'s voters, one pass per distinct order
+    (:meth:`Election.types`) with its points times the order's count."""
+    scores = [0] * e.m
+    for order, count in e.types():
+        for alt, points in zip(order, alpha):
+            if not points:
+                break
+            scores[alt] += points * count
+    return scores
+
+
 def _wins(scores, p, unique):
     """Whether ``p`` has a maximum score; the only one under ``unique``."""
     best = max(scores)
@@ -274,7 +286,7 @@ def scoring_winners(e: Election, vector: ScoringVector) -> ScoringResult:
     """
     if len(vector) != e.m:
         raise ValueError(f"scoring vector has length {len(vector)}, election has m={e.m}")
-    scores = _tally(e.voters, vector.alpha, e.m)
+    scores = _type_tally(e, vector.alpha)
     best = max(scores)
     winners = tuple(c for c in e.alternatives() if scores[c] == best)
     return ScoringResult(winners, tuple(scores))

@@ -13,9 +13,12 @@ and an upper bound from the Borda order improved by single-alternative
 moves. The DP counts costs above the lower bound, which never fall along
 a path, and stores only the subsets whose cost stays within the upper
 bound. Impartial-culture components of 17 to 24 alternatives with 51
-voters then store under 0.5% of their subsets; a fully tied component
-prunes nothing and costs O(2^k * k) work for its k alternatives. Both routes break ties toward the lexicographically
-smallest optimal ranking, so their results are bit-identical.
+voters then store under 0.5% of their subsets. A component whose bounds
+meet (a fully tied one, say) would store every subset; it skips the DP,
+since its optimal orders are those that never rank a member above one
+that strictly beats it, and the smallest of them is built greedily. Both
+routes break ties toward the lexicographically smallest optimal ranking,
+so their results are bit-identical.
 
 The average voter disagreement ``d_a`` (ceiling of the mean pairwise
 Kendall tau distance between voters) is computed and reported as a
@@ -90,7 +93,8 @@ def kemeny_dp(e: Election) -> KemenyResult:
     lexicographically smallest optimal ranking. Cost: O(m^2) bitmask
     operations for the closure, O(k^2) per improving pass for ``ub``, and
     O(k) per stored subset, at most O(2^k * k) for the largest component
-    ``k`` when nothing is pruned. The capacity limit still applies to m.
+    ``k`` when little is pruned; a component whose bounds meet takes
+    O(k^3) instead. The capacity limit still applies to m.
     """
     m = e.m
     if m > DP_MAX_M:
@@ -126,12 +130,18 @@ def _order_component(wins, members):
     (see ``kemeny_dp``). Reconstruction walks down from the full set and
     takes the smallest ``c`` whose predecessor is stored and attains
     ``F[S]``; a predecessor that is not stored counts as infinite.
+
+    When ``ub == lb`` the DP is skipped, since it would keep every subset
+    that costs ``lb`` (all of them in a fully tied component):
+    :func:`_tied_order` builds the same order directly.
     """
+    lb = sum(min(wins[c][d], wins[d][c]) for c, d in combinations(members, 2))
+    ub = _score(wins, _insertion_order(wins, members))
+    if ub == lb:
+        return _tied_order(wins, members)
     k = len(members)
     h = k // 2
     low = (1 << h) - 1
-    lb = sum(min(wins[c][d], wins[d][c]) for c, d in combinations(members, 2))
-    ub = _score(wins, _insertion_order(wins, members))
     items = []
     for i, c in enumerate(members):
         excess = [max(0, wins[c][d] - wins[d][c]) for d in members]
@@ -162,6 +172,25 @@ def _order_component(wins, members):
                     s ^= bit
                     f = g
                     break
+    return order
+
+
+def _tied_order(wins, members):
+    """Lexicographically smallest order of ``members`` in which no member
+    is ranked above one that strictly beats it.
+
+    When such orders exist they are exactly the orders scoring the
+    pairwise lower bound, so this is what the DP returns when its bounds
+    meet. They are the linear extensions of the strict majority relation,
+    and the smallest is built by repeatedly taking the smallest remaining
+    member that no remaining member strictly beats: O(k^3) for k members.
+    """
+    left = list(members)
+    order = []
+    while left:
+        c = next(c for c in left if all(wins[d][c] <= wins[c][d] for d in left))
+        left.remove(c)
+        order.append(c)
     return order
 
 

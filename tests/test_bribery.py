@@ -1,3 +1,4 @@
+import bisect
 import heapq
 import random
 import subprocess
@@ -603,21 +604,24 @@ def random_tariffs(rng, e, p, max_step=3):
 BUDGETS = (0, 1, 3, 6, 1000)
 
 
+def random_option_lists(rng):
+    """``(m, options)``: raw option lists for up to 5 voters over up to 4
+    alternatives, with cost ties, zero costs and columns of 0..3 points."""
+    m = rng.randint(1, 4)
+    options = []
+    for _ in range(rng.randint(0, 5)):
+        costs = sorted(rng.randint(0, 4) for _ in range(rng.randint(1, 5)))
+        options.append(
+            [(cost, j, tuple(rng.randint(0, 3) for _ in range(m))) for j, cost in enumerate(costs)]
+        )
+    return m, options
+
+
 class TestBoundedSearch:
     def test_matches_plain_search_on_option_lists(self):
         rng = random.Random(31)
         for trial in range(400):
-            m = rng.randint(1, 4)
-            n = rng.randint(0, 5)
-            options = []
-            for _ in range(n):
-                costs = sorted(rng.randint(0, 4) for _ in range(rng.randint(1, 5)))
-                options.append(
-                    [
-                        (cost, j, tuple(rng.randint(0, 3) for _ in range(m)))
-                        for j, cost in enumerate(costs)
-                    ]
-                )
+            m, options = random_option_lists(rng)
             p = rng.randrange(m)
             unique = rng.random() < 0.5
             budget = rng.choice(BUDGETS)
@@ -791,6 +795,72 @@ class TestOptionTables:
         assert bribery._shift_options(e, alpha, p, tariffs) == plain_shift_options(
             e, alpha, p, tariffs
         )
+
+
+def plain_rival_bound(options, p, c, budget):
+    """Oracle for ``_rival_bound``: each front entry pads a full row of its
+    own, and the step is the entrywise minimum over the rows."""
+    n = len(options)
+    lows = [0] * (n + 1)
+    tables = [[] for _ in range(n + 1)]
+    tables[n] = [0]
+    for vi in range(n - 1, -1, -1):
+        table = tables[vi + 1]
+        if not table:
+            break
+        front = []
+        for cost, _, column in options[vi]:
+            d = column[p] - column[c]
+            if not front or d > front[-1][0]:
+                while front and front[-1][1] == cost:
+                    front.pop()
+                front.append((d, cost))
+        d_lo, d_hi = front[0][0], front[-1][0]
+        rows = [
+            [cost + table[0]] * (d - d_lo) + [cost + x for x in table] + [budget + 1] * (d_hi - d)
+            for d, cost in front
+        ]
+        step = list(map(min, zip(*rows)))
+        del step[bisect.bisect_right(step, budget) :]
+        lows[vi], tables[vi] = lows[vi + 1] + d_lo, step
+    return lows, tables
+
+
+def assert_bounds_match(options, m, p, budget, label):
+    for c in range(m):
+        if c != p:
+            assert bribery._rival_bound(options, p, c, budget) == plain_rival_bound(
+                options, p, c, budget
+            ), f"{label}, p={p}, c={c}, budget={budget}"
+
+
+class TestRivalBound:
+    """The in-place min-plus step gives the row-padding step's tables for
+    every rival, preferred alternative and budget."""
+
+    def test_matches_plain_bound_on_option_lists(self):
+        rng = random.Random(37)
+        for trial in range(300):
+            m, options = random_option_lists(rng)
+            for p in range(m):
+                for budget in BUDGETS:
+                    assert_bounds_match(options, m, p, budget, f"trial {trial}")
+
+    def test_matches_plain_bound_on_swap_and_shift_options(self):
+        for trial, (e, alpha, p, prices, tariffs) in enumerate(seeded_option_instances(38, 90)):
+            swap = bribery._swap_options(e, alpha, prices)
+            shift = bribery._shift_options(e, alpha, p, tariffs)
+            for budget in BUDGETS:
+                for q in range(e.m):
+                    assert_bounds_match(swap, e.m, q, budget, f"swap trial {trial}")
+                assert_bounds_match(shift, e.m, p, budget, f"shift trial {trial}")
+
+    def test_open_budget_tables_match_at_500_voters(self):
+        # Wide tables: every margin the 500 voters reach stays in budget.
+        e = generate(GeneratorSpec("impartial-culture", 4, 500, 1)).election
+        rule = ScoringVector.borda(4)
+        options = bribery._swap_options(e, rule.alpha, SwapPriceFunction.unit(e.n, e.m))
+        assert_bounds_match(options, e.m, 0, 10**6, "IC m=4 n=500")
 
 
 class TestSwapPrices:

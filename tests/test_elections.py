@@ -13,6 +13,7 @@ from comsoc.elections import (
     MajorityMatrix,
     PreferenceOrder,
     ScoringVector,
+    _tally,
     condorcet_winner,
     is_winner,
     kendall_tau,
@@ -332,6 +333,20 @@ class TestScoring:
             rivals = [naive[c] for c in range(e.m) if c != p]
             assert is_winner(e, vector, p) == all(naive[p] >= s for s in rivals)
             assert is_winner(e, vector, p, unique=True) == all(naive[p] > s for s in rivals)
+
+    def test_typed_scores_match_per_voter_tally(self):
+        # The per-voter ``_tally`` is the oracle for the tally over types.
+        for k in range(80):
+            rng = random.Random(74000 + k)
+            m = rng.randint(1, 7)
+            e = multiplicity_heavy(rng, m, 4, 30)
+            depth = rng.randint(0, m)
+            head = sorted(rng.randint(1, 4) for _ in range(depth))
+            vector = ScoringVector(tuple(reversed(head)) + (0,) * (m - depth))
+            result = scoring_winners(e, vector)
+            scores = _tally(e.voters, vector.alpha, m)
+            assert result.scores == tuple(scores), f"seed {74000 + k}"
+            assert result.winners == tuple(c for c in range(m) if scores[c] == max(scores))
 
     @settings(max_examples=60, deadline=None)
     @given(elections())

@@ -18,6 +18,7 @@ from comsoc.errors import CapacityError
 from comsoc.generators import GeneratorSpec, generate
 from comsoc.kemeny import (
     _insertion_order,
+    _order_component,
     _score,
     _subset_table,
     avg_pairwise_distance,
@@ -284,12 +285,40 @@ class TestDp:
 
     def test_matches_dense_subset_dp_when_nothing_is_pruned(self):
         # Two reversed voters tie on every pair: every ranking scores the
-        # pairwise lower bound, so the DP stores all 2^14 subsets.
+        # pairwise lower bound, which the DP would not prune at all.
         m = 14
         e = Election([tuple(range(m)), tuple(reversed(range(m)))])
         result = kemeny_dp(e)
         assert (result.ranking, result.score) == dense_subset_dp(e)
         assert result.ranking.ranking == tuple(range(m))
+        assert result.score == m * (m - 1) // 2
+
+    def test_tied_components_match_dense_subset_dp(self):
+        # Few voters tie many pairs, and the bounds on the whole set
+        # usually meet; then the order is built without the DP.
+        tied = 0
+        for seed in range(400):
+            rng = random.Random(f"tied:{seed}")
+            e = random_election(rng, rng.randint(2, 9), rng.choice((2, 4, 6)))
+            wins = majority_matrix(e).wins
+            members = list(range(e.m))
+            ranking, score = dense_subset_dp(e)
+            result = kemeny_dp(e)
+            assert (result.ranking, result.score) == (ranking, score), f"seed {seed}"
+            if pairwise_lower_bound(wins) == _score(wins, _insertion_order(wins, members)):
+                tied += 1
+                assert _order_component(wins, members) == list(ranking), f"seed {seed}"
+        assert tied >= 300
+
+    def test_tied_component_at_capacity_limit(self):
+        # Two reversed voters at m = 24: one fully tied component, whose
+        # 2^24 subsets the DP would all store.
+        m = 24
+        e = Election([tuple(range(m)), tuple(reversed(range(m)))])
+        start = time.perf_counter()
+        result = kemeny_dp(e)
+        assert time.perf_counter() - start < 1
+        assert result.ranking == tuple(range(m))
         assert result.score == m * (m - 1) // 2
 
     @settings(max_examples=60, deadline=None)

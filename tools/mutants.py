@@ -56,6 +56,13 @@ MUTANTS = (
         ("tests/test_elections.py::TestMajorityMatrix",),
     ),
     Mutant(
+        "type-tally-ignores-count",
+        "src/comsoc/elections.py",
+        "scores[alt] += points * count",
+        "scores[alt] += points",
+        ("tests/test_elections.py::TestScoring::test_typed_scores_match_per_voter_tally",),
+    ),
+    Mutant(
         "rewrite-symmetry-start",
         "src/comsoc/bribery.py",
         "if rec(r - 1, j, [s - c",
@@ -75,6 +82,13 @@ MUTANTS = (
         "del step[bisect_right(step, budget) :]",
         "del step[bisect_right(step, budget - 1) :]",
         ("tests/test_bribery.py::TestBoundedSearch",),
+    ),
+    Mutant(
+        "swap-shift-bound-row-one-margin-low",
+        "src/comsoc/bribery.py",
+        "j = d - d_lo\n",
+        "j = d - d_lo - 1\n",
+        ("tests/test_bribery.py::TestRivalBound",),
     ),
     Mutant(
         "swap-weight-counts-concordant-pairs",
@@ -103,6 +117,13 @@ MUTANTS = (
         "if g <= ub and layer.get(s | bit, g + 1) > g:",
         "if g < ub and layer.get(s | bit, g + 1) > g:",
         ("tests/test_kemeny.py::TestDp",),
+    ),
+    Mutant(
+        "kemeny-tied-order-takes-largest",
+        "src/comsoc/kemeny.py",
+        "c = next(c for c in left if",
+        "c = next(c for c in reversed(left) if",
+        ("tests/test_kemeny.py::TestDp::test_tied_components_match_dense_subset_dp",),
     ),
     Mutant(
         "cut-query-mass-from-piece-start",
