@@ -32,7 +32,7 @@ for c in e.alternatives():
 # sequences (which may swap any adjacent pair, not only the target).
 for c in e.alternatives():
     score = dodgson_score(e, c).score
-    assert dodgson_bruteforce(e, c, score, max_k=12) == score
+    assert dodgson_bruteforce(e, c, score) == score
 print("swap-BFS oracle confirms every score")
 
 # A larger profile: 60 impartial-culture voters over 7 alternatives. The

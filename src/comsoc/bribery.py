@@ -63,7 +63,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate, combinations, permutations
 
-from .elections import Election, PreferenceOrder, ScoringVector, _tally, _type_tally, _wins
+from .elections import Election, PreferenceOrder, ScoringVector, _tally, _wins
 from .errors import CapacityError
 
 SWAP_MAX_M = 6
@@ -265,7 +265,7 @@ def _finish_plan(e, rule, p, flavor, actions, cost, unique):
     for action in actions:
         orders[action.voter] = action.new_order
     result = Election(orders, labels=e.labels)
-    if not _wins(_tally(orders, rule.alpha, e.m), p, unique):
+    if not _wins(_tally(result.types(), rule.alpha, e.m), p, unique):
         raise AssertionError(f"{flavor} plan leaves {p} losing")
     return BriberyPlan(flavor, tuple(actions), cost, result)
 
@@ -407,7 +407,7 @@ def _swap_options(e, alpha, prices):
     """
     m = e.m
     targets = list(permutations(range(m)))
-    columns = [tuple(_tally([t], alpha, m)) for t in targets]
+    columns = [tuple(_tally([(t, 1)], alpha, m)) for t in targets]
     cells = [[a * m + b for i, a in enumerate(t) for b in t[i + 1 :]] for t in targets]
     options = []
     for vi, voter in enumerate(e.voters):
@@ -446,7 +446,7 @@ def swap_bribery(
         raise ValueError(f"{len(prices.tables)} swap price tables for {e.n} voters")
     prices.check_complete(e.m)
     alpha = rule.alpha
-    if _wins(_type_tally(e, alpha), p, unique):
+    if _wins(_tally(e.types(), alpha, e.m), p, unique):
         return _finish_plan(e, rule, p, "swap", [], 0, unique)
     if e.n > BRANCH_MAX_N:
         raise CapacityError(f"swap bribery limited to n <= {BRANCH_MAX_N}, got {e.n}")
@@ -490,7 +490,7 @@ def _shift_options(e, alpha, p, tariffs):
     options = []
     for vi, order in enumerate(e.voters):
         rho = tariffs.rhos[vi]
-        column = _tally([order], alpha, e.m)
+        column = _tally([(order, 1)], alpha, e.m)
         per_voter = [(rho[0], 0, tuple(column))]
         q = order.index(p)
         for t in range(1, q + 1):
@@ -518,7 +518,7 @@ def shift_bribery(
     """
     _check_instance(e, rule, p, budget)
     shift_prices.check_against(e, p)
-    if _wins(_type_tally(e, rule.alpha), p, unique):
+    if _wins(_tally(e.types(), rule.alpha, e.m), p, unique):
         return _finish_plan(e, rule, p, "shift", [], 0, unique)
     if e.n > BRANCH_MAX_N:
         raise CapacityError(f"shift bribery limited to n <= {BRANCH_MAX_N}, got {e.n}")
@@ -575,7 +575,7 @@ def _rewrite_feasible(e, alpha, p, subset, unique, tables):
     the one the full search returns.
     """
     orders, columns, low = tables
-    fixed = [v for i, v in enumerate(e.voters) if i not in subset]
+    fixed = [(v, 1) for i, v in enumerate(e.voters) if i not in subset]
     scores = _tally(fixed, alpha, e.m)
     p_final = scores[p] + len(subset) * alpha[0] - unique
     chosen = []

@@ -18,8 +18,10 @@ use 0 when every endpoint is exact, the default 1e-9 otherwise.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from math import isqrt
 
 from .errors import CapacityError
@@ -131,7 +133,7 @@ class PiecewisePolyDensity:
     More than ``MAX_PIECES`` pieces raise :class:`CapacityError`.
     """
 
-    __slots__ = ("pieces",)
+    __slots__ = ("pieces", "_ends", "_before")
 
     def __init__(self, pieces):
         pieces = list(pieces)
@@ -158,10 +160,12 @@ class PiecewisePolyDensity:
         for lo, hi, coeffs in fixed:
             if not _poly_nonneg_on(coeffs, lo, hi):
                 raise ValueError(f"density negative somewhere on [{lo}, {hi})")
-        total = sum((_mass(coeffs, lo, hi) for lo, hi, coeffs in fixed), ZERO)
-        if total != 1:
-            raise ValueError(f"density integrates to {total}, expected exactly 1")
+        before = tuple(accumulate((_mass(c, lo, hi) for lo, hi, c in fixed), initial=ZERO))
+        if before[-1] != 1:
+            raise ValueError(f"density integrates to {before[-1]}, expected exactly 1")
         object.__setattr__(self, "pieces", tuple(fixed))
+        object.__setattr__(self, "_ends", tuple(hi for _, hi, _ in fixed))
+        object.__setattr__(self, "_before", before)
 
     def __setattr__(self, name, value):
         raise AttributeError("PiecewisePolyDensity is immutable")
@@ -184,16 +188,22 @@ class PiecewisePolyDensity:
             raise ValueError("cannot normalize a density with nonpositive mass")
         return cls([(lo, hi, tuple(c / total for c in coeffs)) for lo, hi, coeffs in fixed])
 
+    def _mass_to(self, x):
+        """Exact integral over [0, x] for x in [0, 1]: one bisect, one piece."""
+        i = bisect_left(self._ends, x)
+        lo, hi, coeffs = self.pieces[i]
+        if x == hi:
+            return self._before[i + 1]
+        if x == lo:
+            return self._before[i]
+        return self._before[i] + _mass(coeffs, lo, x)
+
     def measure_interval(self, a, b) -> Fraction:
         """Exact integral over [a, b] clipped to [0, 1]."""
         a, b = max(_frac(a), ZERO), min(_frac(b), ONE)
         if b <= a:
             return ZERO
-        total = ZERO
-        for lo, hi, coeffs in self.pieces:
-            if lo < b and a < hi:
-                total += _mass(coeffs, max(lo, a), min(hi, b))
-        return total
+        return self._mass_to(b) - self._mass_to(a)
 
 
 def _sorted_disjoint(spans, message):
@@ -294,28 +304,25 @@ def cut_query(f: PiecewisePolyDensity, a, v) -> Fraction:
     """Smallest x in [a, 1] with measure over [a, x] equal to ``v``.
 
     Zero-density plateaus resolve to their left end. ``v`` must not exceed
-    the value of the remaining cake [a, 1]. One walk over the pieces
-    integrates each piece once, and a request it does not meet is refused.
+    the value of the remaining cake [a, 1]. A bisect over the prefix masses
+    finds the one piece to solve in; a request past the total is refused.
     """
     a, v = _frac(a), _frac(v)
     if not 0 <= a <= 1:
         raise ValueError("cut start outside the cake")
     if v == 0:
         return a
-    if v > 0:
-        remaining = v
-        for lo, hi, coeffs in f.pieces:
-            left = max(lo, a)
-            if left >= hi:
-                continue
-            mass = _mass(coeffs, left, hi)
-            if mass < remaining:
-                remaining -= mass
-                continue
-            if not any(coeffs[2:]):
-                return _solve_linear_piece(coeffs, hi, left, remaining)
-            return _bisect_piece(coeffs, hi, left, remaining)
-    raise ValueError(f"requested value {v} outside [0, measure(a, 1)]")
+    start_mass = f._mass_to(a)
+    # The first piece whose end reaches the mass up to a plus v; it ends after a.
+    i = bisect_left(f._before, start_mass + v) - 1
+    if v < 0 or i == len(f.pieces):
+        raise ValueError(f"requested value {v} outside [0, measure(a, 1)]")
+    lo, hi, coeffs = f.pieces[i]
+    left = max(lo, a)
+    remaining = start_mass + v - f._before[i] if left == lo else v
+    if not any(coeffs[2:]):
+        return _solve_linear_piece(coeffs, hi, left, remaining)
+    return _bisect_piece(coeffs, hi, left, remaining)
 
 
 @dataclass(frozen=True)

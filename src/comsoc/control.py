@@ -85,10 +85,7 @@ def approval_view(e: Election, d: int) -> ApprovalView:
         raise ValueError(f"approval depth {d} out of range for m={e.m}")
     types = e.types()
     top = {order: order.top(d) for order, _ in types}
-    scores = [0] * e.m
-    for order, count in types:
-        for c in top[order]:
-            scores[c] += count
+    scores = _tally(types, (1,) * d, e.m)
     return ApprovalView(d, tuple(map(top.__getitem__, e.voters)), tuple(scores))
 
 
@@ -126,7 +123,7 @@ def reduce_instance(e: Election, d: int, p: int) -> Election:
 
 
 def _wins_after_deletion(e: Election, d: int, p: int, deleted, unique: bool) -> bool:
-    remaining = [v for i, v in enumerate(e.voters) if i not in deleted]
+    remaining = [(v, 1) for i, v in enumerate(e.voters) if i not in deleted]
     return bool(remaining) and _wins(_tally(remaining, (1,) * d, e.m), p, unique)
 
 

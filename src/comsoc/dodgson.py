@@ -210,7 +210,7 @@ def _is_condorcet(profile, c, m, n):
     return True
 
 
-def dodgson_bruteforce(e: Election, c, k_cap, max_k: int = BRUTE_FORCE_MAX_K):
+def dodgson_bruteforce(e: Election, c, k_cap):
     """Minimum adjacent swaps (any pair, any voter) making ``c`` the
     Condorcet winner, by breadth-first search; ``None`` beyond ``k_cap``.
     A negative ``k_cap`` raises ``ValueError``.
@@ -222,8 +222,8 @@ def dodgson_bruteforce(e: Election, c, k_cap, max_k: int = BRUTE_FORCE_MAX_K):
         raise ValueError(f"k_cap {k_cap} is negative")
     if e.n * e.m > BRUTE_FORCE_MAX_CELLS:
         raise CapacityError(f"profile has {e.n * e.m} cells, limit {BRUTE_FORCE_MAX_CELLS}")
-    if k_cap > max_k:
-        raise CapacityError(f"k_cap {k_cap} above limit {max_k}")
+    if k_cap > BRUTE_FORCE_MAX_K:
+        raise CapacityError(f"k_cap {k_cap} above limit {BRUTE_FORCE_MAX_K}")
     m, n = e.m, e.n
     start = e.voters
     if _is_condorcet(start, c, m, n):

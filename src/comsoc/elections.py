@@ -13,7 +13,8 @@ is tallied once. Every fill computes and writes the same value, so a race
 between threads only repeats work; the cache takes no part in equality or
 hashing.
 :meth:`Election.types` is the one grouping of voters by preference order,
-and the majority tally and the scoring winners run over it.
+and the majority tally and the scoring winners run over it; :func:`_tally`
+over such ``(order, count)`` rows is the one sum of positional points.
 """
 
 from __future__ import annotations
@@ -240,32 +241,21 @@ class ScoringResult:
     scores: tuple
 
 
-def _tally(orders, alpha, m):
-    """Points per alternative over ``orders`` (id sequences) under ``alpha``.
+def _tally(rows, alpha, m):
+    """Points per alternative under ``alpha`` over ``rows``, the ``(order,
+    count)`` pairs of :meth:`Election.types`; a lone order is ``(order, 1)``.
 
-    ``alpha`` is nonincreasing, so its zero tail is dropped and only the
-    scoring prefix of each ranking is visited; a vector shorter than ``m``
-    scores the positions past its end as zero.
+    ``alpha`` is nonincreasing, so its zero tail is dropped once and only
+    the scoring prefix of each order is visited, its points times its count;
+    a vector shorter than ``m`` scores the positions past its end as zero.
     """
     depth = len(alpha)
     while depth and not alpha[depth - 1]:
         depth -= 1
     head = alpha[:depth]
     scores = [0] * m
-    for order in orders:
+    for order, count in rows:
         for alt, points in zip(order, head):
-            scores[alt] += points
-    return scores
-
-
-def _type_tally(e, alpha):
-    """:func:`_tally` of ``e``'s voters, one pass per distinct order
-    (:meth:`Election.types`) with its points times the order's count."""
-    scores = [0] * e.m
-    for order, count in e.types():
-        for alt, points in zip(order, alpha):
-            if not points:
-                break
             scores[alt] += points * count
     return scores
 
@@ -286,7 +276,7 @@ def scoring_winners(e: Election, vector: ScoringVector) -> ScoringResult:
     """
     if len(vector) != e.m:
         raise ValueError(f"scoring vector has length {len(vector)}, election has m={e.m}")
-    scores = _type_tally(e, vector.alpha)
+    scores = _tally(e.types(), vector.alpha, e.m)
     best = max(scores)
     winners = tuple(c for c in e.alternatives() if scores[c] == best)
     return ScoringResult(winners, tuple(scores))

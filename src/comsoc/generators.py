@@ -13,15 +13,18 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .elections import Election, PreferenceOrder
+from .errors import CapacityError
 from .structure import EuclideanEmbedding
 
 MODELS = ("impartial-culture", "single-peaked", "euclidean-1d")
 EUCLIDEAN_GRID = 10**6
+MAX_CELLS = 1_000_000
 
 
 @dataclass(frozen=True)
 class GeneratorSpec:
-    """Model name, sizes, seed, and (for single-peaked) an optional axis."""
+    """Model name, sizes, seed, and (for single-peaked) an optional axis.
+    More than ``MAX_CELLS`` order entries (m * n) raise :class:`CapacityError`."""
 
     model: str
     m: int
@@ -34,6 +37,8 @@ class GeneratorSpec:
             raise ValueError(f"unknown model {self.model!r}; choose from {MODELS}")
         if self.m < 1 or self.n < 1:
             raise ValueError("m and n must be at least 1")
+        if self.m * self.n > MAX_CELLS:
+            raise CapacityError(f"m*n = {self.m * self.n} order entries, limit {MAX_CELLS}")
         if self.axis is not None:
             axis = tuple(self.axis)
             if sorted(axis) != list(range(self.m)):
@@ -107,7 +112,7 @@ def _euclidean_1d(rng, m, n):
                 [(Fraction(x, EUCLIDEAN_GRID),) for x in voters_pos],
             )
             return Election(orders), embedding
-    raise AssertionError("could not draw distinct Euclidean positions")
+    raise CapacityError(f"could not draw tie-free Euclidean positions for m={m}, n={n}")
 
 
 def generate(spec: GeneratorSpec) -> GeneratedElection:

@@ -32,6 +32,7 @@ from comsoc.cake import (
 from comsoc.circuits import MabInstance, mab_solve, mab_to_majority_circuit, wcs_solve
 from comsoc.control import ControlInstance, ccdv_bruteforce, ccdv_fpt, reduce_instance
 from comsoc.control import approval_view
+from comsoc import dodgson
 from comsoc.dodgson import dodgson_bruteforce, dodgson_score
 from comsoc.elections import condorcet_winner, majority_matrix
 from comsoc.kemeny import kemeny_brute_force, kemeny_dp
@@ -102,7 +103,9 @@ def test_criterion_03_kemeny_oracle_equivalence():
         assert agreements == 200
 
 
-def test_criterion_04_dodgson_model_validity():
+def test_criterion_04_dodgson_model_validity(monkeypatch):
+    # The swap-BFS oracle runs past its cap of 8 swaps here.
+    monkeypatch.setattr(dodgson, "BRUTE_FORCE_MAX_K", 12)
     with Criterion(4, "300 seeded samples m<=4 n<=4: program == swap BFS, zero iff Condorcet", 300):
         for i in range(300):
             seed = 91000 + i
@@ -114,7 +117,7 @@ def test_criterion_04_dodgson_model_validity():
             for c in range(m):
                 score = dodgson_score(e, c).score
                 assert (score == 0) == (winner == c), f"seed {seed} target {c}"
-                got = dodgson_bruteforce(e, c, score, max_k=12)
+                got = dodgson_bruteforce(e, c, score)
                 assert got == score, f"seed {seed} target {c}: {got} != {score}"
 
 

@@ -458,6 +458,10 @@ class TestUnitAndPricedBribery:
                 0,
                 BriberyBudget(1),
             )
+        with pytest.raises(CapacityError, match="n <= 16"):
+            unit_or_priced_bribery(
+                Election([(0, 1, 2)] * 17), ScoringVector.borda(3), 2, BriberyBudget(1)
+            )
 
 
 class TestInstanceChecks:
@@ -894,7 +898,7 @@ def full_rewrite_feasible(e, alpha, p, subset, unique, tables=None):
     that this can stand in for the solver's search."""
     m = e.m
     fixed = [v.ranking for i, v in enumerate(e.voters) if i not in subset]
-    scores = bribery._tally(fixed, alpha, m)
+    scores = oracle_tally(fixed, alpha, m)
     p_final = scores[p] + len(subset) * alpha[0]
     rivals = [c for c in range(m) if c != p]
     subset = sorted(subset)

@@ -19,7 +19,7 @@ from comsoc.cake import (
     measure,
     welfare,
 )
-from comsoc.cake import _solve_linear_piece
+from comsoc.cake import _mass, _solve_linear_piece
 from comsoc.errors import CapacityError
 from comsoc.fileio import parse_densities
 
@@ -86,13 +86,26 @@ def poly_densities(draw, grid=24):
     return PiecewisePolyDensity.normalized(pieces)
 
 
+def plain_measure_interval(f, a, b):
+    """Oracle: the measure that walks every piece and integrates its overlap
+    with [a, b], in place of the prefix masses."""
+    a, b = max(F(a), F(0)), min(F(b), F(1))
+    if b <= a:
+        return F(0)
+    total = F(0)
+    for lo, hi, coeffs in f.pieces:
+        if lo < b and a < hi:
+            total += _mass(coeffs, max(lo, a), min(hi, b))
+    return total
+
+
 def plain_cut_query(f, a, v, tolerance=F(1, 10**12)):
     """Oracle: the cut query that takes every mass, in the walk and in the
     bisection, from a scan of the whole density."""
     a, v = F(a), F(v)
     if not 0 <= a <= 1:
         raise ValueError("cut start outside the cake")
-    if v < 0 or v > f.measure_interval(a, 1):
+    if v < 0 or v > plain_measure_interval(f, a, 1):
         raise ValueError(f"requested value {v} outside [0, measure(a, 1)]")
     if v == 0:
         return a
@@ -101,7 +114,7 @@ def plain_cut_query(f, a, v, tolerance=F(1, 10**12)):
         left = max(lo, a)
         if left >= hi:
             continue
-        mass = f.measure_interval(left, hi)
+        mass = plain_measure_interval(f, left, hi)
         if mass < remaining:
             remaining -= mass
             continue
@@ -113,7 +126,7 @@ def plain_cut_query(f, a, v, tolerance=F(1, 10**12)):
         low, high = left, hi
         for _ in range(256):
             mid = (low + high) / 2
-            got = f.measure_interval(left, mid)
+            got = plain_measure_interval(f, left, mid)
             if abs(got - remaining) <= tolerance:
                 return mid
             if got < remaining:
@@ -237,6 +250,19 @@ class TestMeasure:
             if both is not None:
                 assert measure(f, both) == measure(f, left) + measure(f, right)
 
+    def test_matches_plain_measure_interval(self):
+        # Prefix masses against the walk over every piece: degrees 0-3,
+        # zero-density plateaus, every piece end, points inside pieces and
+        # bounds past the cake's ends.
+        rng = random.Random(60)
+        for k in range(60):
+            f = random_poly_density(rng) if k % 2 else random_constant_density(rng)
+            points = [F(-1, 2), F(3, 2)] + [lo for lo, _, _ in f.pieces] + [F(1)]
+            points += [F(rng.randint(0, 96), 96) for _ in range(4)]
+            for a in points:
+                for b in points:
+                    assert f.measure_interval(a, b) == plain_measure_interval(f, a, b)
+
     def test_overlapping_intervals_rejected(self):
         with pytest.raises(ValueError, match="overlap"):
             Piece([(0, F(1, 2)), (F(1, 4), 1)])
@@ -303,6 +329,26 @@ class TestCutQuery:
                 assert cut_query(f, a, v) == plain_cut_query(f, a, v)
                 checked += 1
         assert checked > 100
+
+    def test_matches_plain_query_from_every_piece_end(self):
+        # Every piece end as the start, and values that end exactly at a
+        # piece end, so the lookup's boundary and zero-density plateaus
+        # (the smallest x) are both exercised.
+        rng = random.Random(61)
+        checked = 0
+        for k in range(30):
+            f = random_poly_density(rng) if k % 2 else random_constant_density(rng)
+            starts = [F(0)] + [hi for _, hi, _ in f.pieces]
+            for a in starts:
+                available = plain_measure_interval(f, a, 1)
+                values = {available * F(j, 8) for j in range(9)}
+                values |= {plain_measure_interval(f, a, hi) for _, hi, _ in f.pieces if hi > a}
+                for v in values:
+                    assert cut_query(f, a, v) == plain_cut_query(f, a, v)
+                    checked += 1
+                with pytest.raises(ValueError, match="outside"):
+                    cut_query(f, a, available + F(1, 10**30))
+        assert checked > 500
 
     @given(poly_densities(), st.integers(0, 95), st.integers(0, 16))
     @settings(max_examples=60, deadline=None)

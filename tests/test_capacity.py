@@ -4,9 +4,6 @@ import pkgutil
 
 import comsoc
 
-# The one per-call override: tests run the Dodgson oracle with a larger swap cap.
-OVERRIDABLE = {("dodgson_bruteforce", "max_k")}
-
 
 def public_callables():
     for info in pkgutil.iter_modules(comsoc.__path__):
@@ -24,11 +21,7 @@ def public_callables():
 
 def test_capacity_limits_are_module_constants():
     found = {
-        qualname: [
-            p
-            for p in inspect.signature(fn).parameters
-            if p.startswith("max_") and (fn.__name__, p) not in OVERRIDABLE
-        ]
+        qualname: [p for p in inspect.signature(fn).parameters if p.startswith("max_")]
         for qualname, fn in public_callables()
     }
     assert {qualname: params for qualname, params in found.items() if params} == {}

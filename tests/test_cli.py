@@ -46,6 +46,10 @@ class TestSchemaValidator:
             validate_json(
                 {"score": 4, "ranking": [0], "d_a": 0, "extra": 1}, SCHEMAS["kemeny"]
             )
+        with pytest.raises(ValueError, match=r"^\$\.method: 'greedy' not in enum$"):
+            validate_json(
+                {"score": 4, "ranking": [0], "d_a": 0, "method": "greedy"}, SCHEMAS["kemeny"]
+            )
 
     def test_booleans_are_not_integers(self):
         with pytest.raises(ValueError, match="boolean"):
@@ -215,6 +219,19 @@ class TestBribe:
         )
         assert code == 0 and payload["yes"] is True
 
+    def test_shift_flavor_tariffs_from_prices(self, tmp_path, capsys):
+        # Linear tariffs would shift voters 1 and 2 for 4; these charge 7.
+        path = tmp_path / "tariffs.json"
+        path.write_text(json.dumps({"shift_tariffs": [[0, 1, 5, 9], [0, 2, 3], [0, 4, 4, 8]]}))
+        argv = ["bribe", "--in", E4X3, "--flavor", "shift", "--target", "3", "--rule", "borda"]
+        code, payload = run_json(capsys, *argv, "--budget", "7", "--prices", str(path))
+        assert code == 0
+        assert payload == {"yes": True, "flavor": "shift", "cost": 7, "bribed": [1, 2]}
+        code, payload = run_json(capsys, *argv, "--budget", "6", "--prices", str(path))
+        assert code == 1 and payload["yes"] is False
+        code, payload = run_json(capsys, *argv, "--budget", "6")
+        assert code == 0 and payload["cost"] == 4
+
     @pytest.mark.parametrize("flavor", ["unit", "swap", "shift"])
     @pytest.mark.parametrize("target, budget", [("9", "2"), ("-1", "2"), ("0", "-1")])
     def test_bad_target_or_budget_is_input_error(self, capsys, flavor, target, budget):
@@ -247,6 +264,8 @@ class TestBribe:
             ("swap", {"swap_prices": [FULL_SWAP + [[0, 9, 5]], FULL_SWAP, FULL_SWAP]}),
             ("swap", {"swap_prices": [FULL_SWAP + [[2, 2, 5]], FULL_SWAP, FULL_SWAP]}),
             ("swap", {"swap_prices": [FULL_SWAP + [[1, 0, 7]], FULL_SWAP, FULL_SWAP]}),
+            # Priced bribery with a prices file that holds no voter prices.
+            ("priced", {"shift_tariffs": [[0, 1], [0, 1], [0, 1]]}),
         ],
     )
     def test_malformed_prices_are_input_errors(self, tmp_path, capsys, flavor, prices):
@@ -396,6 +415,12 @@ class TestMabWcsCake:
         assert captured.out == ""
         assert captured.err.startswith("input error:")
 
+    def test_wcs_needs_weight_or_metrics(self, capsys):
+        code = main(["wcs", "--in", CIRCUIT])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == "input error: wcs needs --weight k or --metrics\n"
+
     def test_cake_protocols(self, capsys):
         for protocol in ("cut-and-choose", "last-diminisher"):
             code, payload = run_json(
@@ -471,6 +496,22 @@ class TestGen:
             monkeypatch.setattr("sys.stdin", io.StringIO(out))
             results.append(run(capsys, "winners", "--in", "-", "--rule", "borda"))
         assert results[0] == results[1] and results[0][0] == 0
+
+    @pytest.mark.parametrize(
+        "model, m, n, message",
+        [
+            # Every one of the 1-D Euclidean model's redraws ties here.
+            ("euclidean-1d", 1000, 50, "m=1000, n=50"),
+            ("impartial-culture", 1, 1_000_001, "limit 1000000"),
+        ],
+        ids=["euclidean-draws-tie", "cells-over-limit"],
+    )
+    def test_capacity_error_is_one_line(self, capsys, model, m, n, message):
+        code = main(["gen", "--model", model, "--m", str(m), "--n", str(n), "--seed", "1"])
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == ""
+        assert captured.err.startswith("capacity error:") and captured.err.count("\n") == 1
+        assert message in captured.err
 
     def test_euclidean_positions_emitted(self, capsys):
         _, payload = run_json(

@@ -13,7 +13,8 @@ from comsoc.control import (
     reduce_instance,
     relevance_split,
 )
-from comsoc.elections import Election, ScoringVector, _tally, scoring_winners
+from comsoc.elections import Election, ScoringVector, scoring_winners
+from comsoc.errors import CapacityError
 from comsoc.generators import GeneratorSpec, generate
 
 from conftest import multiplicity_heavy, random_election
@@ -39,7 +40,10 @@ def plain_approval_view(e, d):
     the tally over voter types."""
     top = {order: order.top(d) for order, _ in e.types()}
     approves = tuple(top[v] for v in e.voters)
-    scores = _tally(e.voters, (1,) * d, e.m)
+    scores = [0] * e.m
+    for v in e.voters:
+        for c in v[:d]:
+            scores[c] += 1
     return approves, tuple(scores)
 
 
@@ -356,6 +360,15 @@ class TestSolver:
                 if ccdv_bruteforce(inst) is not None:
                     contradictions += 1
         assert contradictions == 0
+
+
+def test_bruteforce_refuses_past_its_subset_limit():
+    # 2^22 deletion subsets: refused before any subset is tried.
+    e = Election([(0, 1, 2)] * 22)
+    start = time.perf_counter()
+    with pytest.raises(CapacityError, match="4194304 deletion subsets, limit 2000000"):
+        ccdv_bruteforce(ControlInstance(e, 1, 2, 22))
+    assert time.perf_counter() - start < 1
 
 
 class TestProperties:

@@ -18,7 +18,7 @@ from comsoc.fileio import (
     write_densities,
     write_election,
 )
-from comsoc.generators import EUCLIDEAN_GRID, GeneratorSpec, generate
+from comsoc.generators import EUCLIDEAN_GRID, MAX_CELLS, MODELS, GeneratorSpec, generate
 from comsoc.structure import EuclideanEmbedding, is_single_peaked_wrt, verify_euclidean
 
 from conftest import DOC_ELECTION_4X3, random_election
@@ -162,6 +162,27 @@ class TestPreflibImport:
             parse_preflib_soc(text)
         assert err.value.line == 3
 
+    @pytest.mark.parametrize(
+        "text, message, line",
+        [
+            ("# NUMBER ALTERNATIVES: 3\n1 2 3\n", "expected 'count: order' row", 2),
+            ("# NUMBER ALTERNATIVES: 3\ntwo: 1, 2, 3\n", "malformed PrefLib row", 2),
+            ("# NUMBER ALTERNATIVES: 3\n1: 1, 2, x\n", "malformed PrefLib row", 2),
+            ("# NUMBER ALTERNATIVES: 3\n0: 1, 2, 3\n", "row multiplicity must be positive", 2),
+            ("# NUMBER ALTERNATIVES: 3\n", "no voters found", None),
+            (
+                "# NUMBER ALTERNATIVES: 2\n# ALTERNATIVE NAME 1: red\n1: 1, 2\n",
+                "alternative names incomplete",
+                None,
+            ),
+        ],
+        ids=["no-colon", "bad-count", "bad-alternative", "zero-count", "no-voters", "names"],
+    )
+    def test_malformed_input_names_the_fault(self, text, message, line):
+        with pytest.raises(ParseError, match=message) as err:
+            parse_preflib_soc(text)
+        assert err.value.line == line
+
     def test_huge_count_is_capacity_error(self):
         with pytest.raises(CapacityError, match="voters"):
             parse_preflib_soc("# NUMBER ALTERNATIVES: 3\n1000000000000: 1, 2, 3\n")
@@ -284,3 +305,10 @@ class TestGenerators:
     def test_bad_axis_rejected(self):
         with pytest.raises(ValueError, match="axis"):
             GeneratorSpec("single-peaked", 3, 3, 1, axis=(0, 1))
+
+    def test_cell_limit(self):
+        # Checked on the spec, before anything is drawn.
+        for model in MODELS:
+            GeneratorSpec(model, 1, MAX_CELLS, 1)
+            with pytest.raises(CapacityError, match="limit 1000000"):
+                GeneratorSpec(model, 1, MAX_CELLS + 1, 1)

@@ -1,7 +1,7 @@
 import re
 from pathlib import Path
 
-from comsoc import bribery, cake, circuits, control, dodgson, fileio, kemeny, structure
+from comsoc import bribery, cake, circuits, control, dodgson, fileio, generators, kemeny, structure
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -25,6 +25,7 @@ CAPACITY_ROWS = {
     "`mab_solve`": [circuits.MAB_MAX_PROPOSALS],
     "density degree": [cake.MAX_DEGREE],
     "density pieces": [cake.MAX_PIECES],
+    "`generate`": [generators.MAX_CELLS],
 }
 
 

@@ -63,6 +63,13 @@ MUTANTS = (
         ("tests/test_elections.py::TestScoring::test_typed_scores_match_per_voter_tally",),
     ),
     Mutant(
+        "approval-view-scores-one-deeper",
+        "src/comsoc/control.py",
+        "scores = _tally(types, (1,) * d, e.m)",
+        "scores = _tally(types, (1,) * (d + 1), e.m)",
+        ("tests/test_control.py::TestApprovalView",),
+    ),
+    Mutant(
         "rewrite-symmetry-start",
         "src/comsoc/bribery.py",
         "if rec(r - 1, j, [s - c",
@@ -128,8 +135,8 @@ MUTANTS = (
     Mutant(
         "cut-query-mass-from-piece-start",
         "src/comsoc/cake.py",
-        "mass = _mass(coeffs, left, hi)",
-        "mass = _mass(coeffs, lo, hi)",
+        "left = max(lo, a)",
+        "left = lo",
         ("tests/test_cake.py::TestCutQuery",),
     ),
     Mutant(
