@@ -42,8 +42,9 @@ ranked above ``b``); a voter's weight list holds the price of each pair
 the voter ranks the other way, so a target's cost is a sum of weights over
 its cells. Shift (:func:`_shift_options`) starts from the voter's own
 point column and moves the preferred alternative up one slot per option.
-Orders, swap sequences and shifted orders are rebuilt only for the plan
-returned.
+The search returns the option it chose for each voter, so a plan's
+action costs are those options' costs, never priced again; orders, swap
+sequences and shifted orders are rebuilt only for the plan returned.
 
 Unit and priced bribery try voter subsets in (cost, index tuple) order and
 ask :func:`_rewrite_feasible` whether some rewrite of the subset, with the
@@ -122,7 +123,8 @@ class SwapPriceFunction:
 
 
 class ShiftPriceFunction:
-    """Per-voter nondecreasing shift tariffs with ``rho_v(0) = 0``.
+    """Per-voter nondecreasing shift tariffs with ``rho_v(0) = 0``, so none
+    is negative.
 
     ``rho_v`` has one entry per possible upward shift of the preferred
     alternative in voter ``v``'s current order, including the zero shift.
@@ -136,8 +138,6 @@ class ShiftPriceFunction:
                 raise ValueError(f"voter {v}: rho(0) must be 0")
             if any(rho[i] > rho[i + 1] for i in range(len(rho) - 1)):
                 raise ValueError(f"voter {v}: rho must be nondecreasing")
-            if any(x < 0 for x in rho):
-                raise ValueError(f"voter {v}: negative shift price")
             fixed.append(rho)
         self.rhos = tuple(fixed)
 
@@ -340,7 +340,8 @@ def _cheapest_choice(options, m, p, unique, budget):
     option gives each alternative. The depth-first search stops a voter's
     loop at the first option over the budget or not cheaper than the
     incumbent; only a strictly cheaper choice replaces the incumbent, so
-    ties go to the first in search order. Returns ``(cost, keys)`` or None.
+    ties go to the first in search order. Returns ``(cost, chosen)``, the
+    option chosen for each voter, or None; plans read their costs from it.
 
     Before the search, :func:`_rival_bound` tabulates per rival ``c`` what
     the voters still to come must at least spend so that ``p`` ends level
@@ -357,11 +358,11 @@ def _cheapest_choice(options, m, p, unique, budget):
     n = len(options)
     bounds = [(c, *_rival_bound(options, p, c, budget)) for c in range(m) if c != p]
     best_cost = None
-    best_keys = None
-    keys = [None] * n
+    best_chosen = None
+    chosen = [None] * n
 
     def rec(vi, cost, scores):
-        nonlocal best_cost, best_keys
+        nonlocal best_cost, best_chosen
         lead = scores[p] - unique
         rest = 0
         for c, lows, tables in bounds:
@@ -377,19 +378,19 @@ def _cheapest_choice(options, m, p, unique, budget):
         if bound > budget or (best_cost is not None and bound >= best_cost):
             return
         if vi == n:
-            if _wins(scores, p, unique):
-                best_cost = cost
-                best_keys = list(keys)
+            # Tables here are [0] at low 0, so no rival tops scores[p] - unique.
+            best_cost = cost
+            best_chosen = list(chosen)
             return
-        for extra, key, column in options[vi]:
-            total = cost + extra
+        for option in options[vi]:
+            total = cost + option[0]
             if total > budget or (best_cost is not None and total >= best_cost):
                 break
-            keys[vi] = key
-            rec(vi + 1, total, [s + c for s, c in zip(scores, column)])
+            chosen[vi] = option
+            rec(vi + 1, total, [s + c for s, c in zip(scores, option[2])])
 
     rec(0, 0, [0] * m)
-    return None if best_cost is None else (best_cost, best_keys)
+    return None if best_cost is None else (best_cost, best_chosen)
 
 
 def _swap_options(e, alpha, prices):
@@ -454,20 +455,12 @@ def swap_bribery(
     found = _cheapest_choice(_swap_options(e, alpha, prices), e.m, p, unique, budget)
     if found is None:
         return None
-    best_cost, best_choice = found
+    best_cost, chosen = found
     actions = []
-    for vi, target in enumerate(best_choice):
+    for vi, (cost, target, _) in enumerate(chosen):
         if target != e.voters[vi]:
             order = PreferenceOrder(target)
-            seq = bubble_sequence(e.voters[vi], order)
-            actions.append(
-                VoterAction(
-                    vi,
-                    order,
-                    min_cost_to_target(e.voters[vi], order, prices.voter_table(vi)),
-                    swaps=seq,
-                )
-            )
+            actions.append(VoterAction(vi, order, cost, swaps=bubble_sequence(e.voters[vi], order)))
     return _finish_plan(e, rule, p, "swap", actions, best_cost, unique)
 
 
@@ -525,13 +518,11 @@ def shift_bribery(
     found = _cheapest_choice(_shift_options(e, rule.alpha, p, shift_prices), e.m, p, unique, budget)
     if found is None:
         return None
-    best_cost, best_shifts = found
+    best_cost, chosen = found
     actions = []
-    for vi, t in enumerate(best_shifts):
+    for vi, (cost, t, _) in enumerate(chosen):
         if t:
-            actions.append(
-                VoterAction(vi, _shifted(e.voters[vi], p, t), shift_prices.cost(vi, t), shift=t)
-            )
+            actions.append(VoterAction(vi, _shifted(e.voters[vi], p, t), cost, shift=t))
     return _finish_plan(e, rule, p, "shift", actions, best_cost, unique)
 
 

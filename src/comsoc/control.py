@@ -153,12 +153,11 @@ def ccdv_fpt(instance: ControlInstance, unique: bool = False):
     deletion lowers it by at most one. Such a subtree holds no winning
     vector, so the cut never changes which witness is found first. Past
     the last class no voter is left, so a node that survives the cut there
-    has every excess at most zero: ``p`` wins.
+    has every excess at most zero: ``p`` wins. If ``p`` already wins, no
+    node is cut, and the first vector, all zeros, returns ``[]``.
     """
     e, d, p, k = instance.election, instance.d, instance.p, instance.k
     split = relevance_split(e, d, p)
-    if _wins(split.scores, p, unique):
-        return []
     scores = list(split.scores)
     must_reduce = [c for c in split.relevant if unique or scores[c] > scores[p]]
     if len(must_reduce) > d * k:

@@ -12,9 +12,9 @@ solver, no LP relaxation), one lift amount of one type at a time: a
 branch is cut when its cost plus the sum of uncovered deficits cannot beat
 the incumbent. Each swap covers at most one deficit unit, so that sum is a
 valid lower bound. At each voter type's first stage the search also keeps
-the lowest cost seen per (stage, remaining deficits), in the spirit of the
-deficit DP of Betzler, Guo and Niedermeier (Inf. Comput. 2010), and cuts a
-node that arrives there at no lower cost.
+the lowest cost seen per vector of remaining deficits, in the spirit of
+the deficit DP of Betzler, Guo and Niedermeier (Inf. Comput. 2010), and
+cuts a node that arrives there at no lower cost.
 
 A raw breadth-first search over profiles reachable by arbitrary adjacent
 swaps serves as the independent oracle.
@@ -93,11 +93,11 @@ def dodgson_score(e: Election, c) -> DodgsonSolution | None:
     stage, when some deficit exceeds the voters of this and later types
     who rank that alternative above ``c``.
 
-    A per-call memo maps ``(stage, remaining deficits)`` to the lowest cost
-    seen, and is read only at a type's first stage. There, that type's row
-    and all later rows are untouched, so the subtree depends only on the
-    key and the incumbent, which only falls. A node whose key was seen at
-    a cost no higher is cut: the earlier visit explored the same
+    Each type's first stage keeps a memo from remaining deficits to the
+    lowest cost seen there. At that stage the type's row and all later rows
+    are untouched, so the subtree depends only on the remaining deficits
+    and the incumbent, which only falls. A node whose deficits were seen
+    there at a cost no higher is cut: the earlier visit explored the same
     completions at no higher cost, or cut them against an incumbent at
     least as high.
 
@@ -119,9 +119,10 @@ def dodgson_score(e: Election, c) -> DodgsonSolution | None:
     # lifted by j; the search updates them in place.
     rows = [[count] + [0] * program.max_lift(i) for i, (_, count) in enumerate(program.types)]
 
-    # Stages as (row, j, deficit slots a lift by j passes, potential). The
-    # potential, set only on a type's first stage, counts per deficit the
-    # voters of this and later types who rank it above c.
+    # Stages as (row, j, deficit slots a lift by j passes, potential, memo).
+    # The potential, set only on a type's first stage, counts per deficit the
+    # voters of this and later types who rank it above c; the memo, read only
+    # there, maps remaining deficits to the lowest cost seen.
     stages = []
     potential = (0,) * len(active)
     for i in range(len(rows) - 1, -1, -1):
@@ -134,13 +135,11 @@ def dodgson_score(e: Election, c) -> DodgsonSolution | None:
         )
         for j in lifts:
             slots = tuple(slot[y] for y in passed[:j] if y in slot)
-            stages.append((rows[i], j, slots, potential if j == lifts[-1] else None))
+            stages.append((rows[i], j, slots, potential if j == lifts[-1] else None, {}))
     stages.reverse()
 
     best = None
     best_lifts = None
-    # Lowest cost seen per (stage, remaining deficits), at first stages only.
-    memo = {}
     # Frames are [stage, cost, remaining deficits, next count].
     stack = [[0, 0, tuple(program.deficits[y] for y in active), 0]]
     while stack:
@@ -158,19 +157,18 @@ def dodgson_score(e: Election, c) -> DodgsonSolution | None:
             if s == len(stages):
                 stack.pop()
                 continue
-            row, j, slots, potential = stages[s]
+            row, j, slots, potential, memo = stages[s]
             if potential is not None:
-                key = (s, remaining)
-                seen = memo.get(key)
+                seen = memo.get(remaining)
                 if seen is not None and seen <= cost:
                     stack.pop()
                     continue
-                memo[key] = cost
+                memo[remaining] = cost
                 if any(r > p for r, p in zip(remaining, potential)):
                     stack.pop()
                     continue
         else:
-            row, j, slots, _ = stages[s]
+            row, j, slots, _, _ = stages[s]
             if not row[0] or (best is not None and cost + x * j >= best):
                 row[0] += row[j]
                 row[j] = 0

@@ -5,8 +5,9 @@ single-crossing and k-crossing profiles along the voter order, exact
 verification of Euclidean embeddings, group separability, and deletion
 distances to single-peakedness. Recognition is exact. The axis searches are
 exhaustive with documented capacity limits; alternative deletion reuses the
-axis search on the kept alternatives. Group separability is polynomial and
-has no limit.
+axis search on the kept alternatives, and voter deletion tests each voter
+type once per axis, whatever the number of voters. Group separability is
+polynomial and has no limit.
 
 Peak convention: a voter's utility along an axis is ``m - rank``, and the
 peak count is the number of strict local maxima of that sequence. A
@@ -20,12 +21,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations
+from math import factorial
 
 from .elections import Election, PreferenceOrder
 from .errors import CapacityError
 
 AXIS_SEARCH_MAX_M = 10
-VOTER_DELETION_MAX_N = 10
+VOTER_DELETION_MAX_CHECKS = 18_144_000
 ALT_DELETION_MAX_M = 8
 
 
@@ -231,35 +233,40 @@ def sp_deletion_distance(e: Election, mode: str):
     """Minimum deletions (voters or alternatives) to reach single-peakedness.
 
     Returns (distance, witness): the deleted index set, smallest first
-    among minimum-size sets in lexicographic order.
+    among minimum-size sets in lexicographic order. Voter deletion runs
+    over :meth:`Election.types`, so it costs m!/2 axes times the distinct
+    orders, and that product is capped at ``VOTER_DELETION_MAX_CHECKS``.
     """
     if mode == "voters":
-        if e.n > VOTER_DELETION_MAX_N:
-            raise CapacityError(f"voter deletion limited to n <= {VOTER_DELETION_MAX_N}")
+        types = e.types()
+        # _axes refuses any larger m; the cap keeps the factorial small.
+        if factorial(min(e.m, AXIS_SEARCH_MAX_M + 1)) // 2 * len(types) > VOTER_DELETION_MAX_CHECKS:
+            raise CapacityError(
+                f"voter deletion limited to m!/2 x distinct orders <= {VOTER_DELETION_MAX_CHECKS}"
+            )
         # Reaching one axis means deleting exactly the voters not single-peaked
         # on it, so the answer is the smallest (size, drop) over all axes; an
         # axis and its reversal drop the same voters, so one of each serves.
-        # Each distinct order is tested once; its verdict covers its voters.
-        voters_of = {}
-        for i, v in enumerate(e.voters):
-            voters_of.setdefault(v, []).append(i)
-        tables = [
-            (voters, [order.rank_of(a) for a in range(e.m)]) for order, voters in voters_of.items()
-        ]
+        # Drops are tuples of type indices, which compare as the voter tuples
+        # do at equal size: types are numbered by first appearance, so the
+        # smallest voter in just one of two drops is the first voter of the
+        # smallest type in just one of them.
+        tables = [(count, [order.rank_of(a) for a in range(e.m)]) for order, count in types]
         best = (e.n + 1, ())
         for axis in _axes(range(e.m)):
             dropped, size = [], 0
-            for voters, ranks in tables:
+            for t, (count, ranks) in enumerate(tables):
                 if not _one_peak(ranks, axis):
-                    dropped += voters
-                    size += len(voters)
+                    dropped.append(t)
+                    size += count
                     if size > best[0]:
                         break
             else:
-                best = min(best, (size, tuple(sorted(dropped))))
+                best = min(best, (size, tuple(dropped)))
                 if not size:
                     break
-        return best
+        dropped = {types[t][0] for t in best[1]}
+        return best[0], tuple(i for i, v in enumerate(e.voters) if v in dropped)
     if mode != "alternatives":
         raise ValueError(f"unknown mode {mode!r}")
     if e.m > ALT_DELETION_MAX_M:

@@ -218,6 +218,7 @@ class TestSwapBribery:
                     e.voters[action.voter], action.swaps, price_fn.voter_table(action.voter)
                 )
                 assert order == action.new_order
+                assert action.cost == cost
                 rebuilt[action.voter] = order
                 total += cost
             assert total == plan.cost
@@ -244,6 +245,7 @@ class TestSwapBribery:
                     del r[pos]
                     r.insert(pos - action.shift, p)
                     assert tuple(r) == action.new_order.ranking
+                    assert action.cost == action.shift  # linear tariff
                     rebuilt[action.voter] = action.new_order
                     total += action.shift  # linear tariff: cost equals shift
                 assert total == shift_plan.cost
@@ -491,6 +493,41 @@ class TestInstanceChecks:
         with pytest.raises(ValueError):
             ShiftPriceFunction.linear(self.TIED, 3)
 
+    @pytest.mark.parametrize(
+        "solve, message",
+        [
+            (lambda e, r: SwapPriceFunction([{(0, 1): -1}]), r"negative swap price for voter 0"),
+            (
+                lambda e, r: swap_bribery(
+                    e, r, 0, SwapPriceFunction([{(0, 1): 1, (0, 2): 1}] * 2), 0
+                ),
+                r"voter 0 missing price for pair \(1, 2\)",
+            ),
+            # rho(0) = 0 and a nondecreasing rho rule out every negative price.
+            (lambda e, r: ShiftPriceFunction([(0, -1)]), r"voter 0: rho must be nondecreasing"),
+            (
+                lambda e, r: shift_bribery(e, r, 0, ShiftPriceFunction([(0, 1)]), 0),
+                r"1 tariffs for 2 voters",
+            ),
+            (lambda e, r: BriberyBudget(1, (1, -1)), r"voter prices must be nonnegative"),
+            (
+                lambda e, r: unit_or_priced_bribery(e, ScoringVector.borda(4), 0, BriberyBudget(0)),
+                r"scoring vector length mismatch",
+            ),
+        ],
+        ids=[
+            "negative-swap",
+            "missing-pair",
+            "negative-shift",
+            "tariff-count",
+            "negative-voter",
+            "rule-length",
+        ],
+    )
+    def test_bad_prices_or_rule_rejected(self, solve, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            solve(self.TIED, ScoringVector.borda(3))
+
     @pytest.mark.parametrize("count", [1, 3])
     def test_price_count_must_equal_n(self, count):
         e, rule = self.TIED, ScoringVector.borda(3)
@@ -549,30 +586,32 @@ class TestBudgetMonotonicity:
 
 def plain_cheapest_choice(options, m, p, unique, budget):
     """The swap and shift search without the per-rival bound: cuts on cost
-    alone, so it is the oracle for the bounded search's result and witness."""
+    alone and tests each leaf with ``_wins``, so it is the oracle for the
+    bounded search's result and witness, the option chosen for each voter."""
     n = len(options)
     best_cost = None
-    best_keys = None
-    keys = [None] * n
+    best_chosen = None
+    chosen = [None] * n
 
     def rec(vi, cost, scores):
-        nonlocal best_cost, best_keys
+        nonlocal best_cost, best_chosen
         if best_cost is not None and cost >= best_cost:
             return
         if vi == n:
             if _wins(scores, p, unique):
                 best_cost = cost
-                best_keys = list(keys)
+                best_chosen = list(chosen)
             return
-        for extra, key, column in options[vi]:
+        for option in options[vi]:
+            extra, _, column = option
             total = cost + extra
             if total > budget or (best_cost is not None and total >= best_cost):
                 break
-            keys[vi] = key
+            chosen[vi] = option
             rec(vi + 1, total, [s + c for s, c in zip(scores, column)])
 
     rec(0, 0, [0] * m)
-    return None if best_cost is None else (best_cost, best_keys)
+    return None if best_cost is None else (best_cost, best_chosen)
 
 
 def with_plain_search(solve):

@@ -276,6 +276,19 @@ class TestMabSolve:
         got = mab_solve(inst)
         assert got is None or 2 in got
 
+    @pytest.mark.parametrize(
+        "ballots, agenda, message",
+        [
+            ([{0}, {1, 2}], (), "ballot 1 mentions unknown proposals"),
+            ([{0}], {2}, "agenda mentions unknown proposals"),
+            ([], (), "at least one voter required"),
+        ],
+        ids=["ballot", "agenda", "no-voters"],
+    )
+    def test_instance_checks(self, ballots, agenda, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            MabInstance(2, ballots, agenda)
+
     def test_size_bounds_checked(self):
         inst = MabInstance(3, [{0, 1}], frozenset({0, 1}))
         with pytest.raises(ValueError):

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -68,6 +69,13 @@ class TestWinners:
         code, payload = run_json(capsys, "winners", "--in", E4X3, "--rule", "borda")
         assert payload["scores"] == [7, 6, 4, 1]
 
+    @pytest.mark.parametrize("d", ["0", "5"])
+    def test_approval_depth_out_of_range_is_input_error(self, capsys, d):
+        code = main(["winners", "--in", E4X3, "--rule", "approval", "--d", d])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == f"input error: approval depth {d} out of range for m=4\n"
+
     def test_approval_needs_depth(self, capsys):
         code, _ = run(capsys, "winners", "--in", E4X3, "--rule", "approval")
         assert code == 2
@@ -109,6 +117,19 @@ class TestCapacityLimits:
     def test_over_limit_input_is_capacity_error(self, tmp_path, capsys, m, argv):
         code = main(argv + ["--in", over_limit(tmp_path, m)])
         captured = capsys.readouterr()
+        assert code == 3 and captured.out == ""
+        assert captured.err.startswith("capacity error:") and captured.err.count("\n") == 1
+
+    def test_voter_deletion_past_limit_is_capacity_error(self, tmp_path, capsys):
+        # m = 10 with 11 distinct orders: 10!/2 axes x 11 orders, one order
+        # past the limit.
+        orders = [tuple(range(k, 10)) + tuple(range(k)) for k in range(10)]
+        path = tmp_path / "past.soc"
+        path.write_text(write_election(Election(orders + [tuple(range(9, -1, -1))])))
+        start = time.perf_counter()
+        code = main(["structure", "--in", str(path), "--check", "sp-voters"])
+        captured = capsys.readouterr()
+        assert time.perf_counter() - start < 0.5
         assert code == 3 and captured.out == ""
         assert captured.err.startswith("capacity error:") and captured.err.count("\n") == 1
 
@@ -319,6 +340,22 @@ class TestStructure:
         _, payload = run_json(capsys, "structure", "--in", E5X3, "--check", "sp-voters")
         assert payload == {"distance": 0, "witness": [], "mode": "voters"}
 
+    def test_voter_deletion_on_a_million_voters_in_three_orders(self, tmp_path, capsys):
+        # The limit counts distinct orders, not voters: deleting the middle
+        # row's 350,000 voters leaves two reversed orders.
+        soc = tmp_path / "big.soc"
+        soc.write_text(
+            "# NUMBER ALTERNATIVES: 6\n"
+            "400000: 1,2,3,4,5,6\n"
+            "350000: 2,3,1,6,5,4\n"
+            "250000: 6,5,4,3,2,1\n"
+        )
+        code, payload = run_json(
+            capsys, "structure", "--in", str(soc), "--preflib", "--check", "sp-voters"
+        )
+        assert code == 0 and payload["distance"] == 350_000
+        assert payload["witness"] == list(range(400_000, 750_000))
+
 
 @pytest.mark.parametrize(
     "subcommand, payload",
@@ -336,6 +373,9 @@ class TestStructure:
         ("winners", {"labels": ["a", "b"]}),
         ("mab", {"ballots": [[0]]}),
         ("mab", {"m": 2}),
+        ("mab", {"m": 2, "ballots": [[0], [1, 2]]}),
+        ("mab", {"m": 2, "ballots": [[0]], "agenda": [2]}),
+        ("mab", {"m": 2, "ballots": []}),
     ],
 )
 def test_malformed_json_is_input_error(tmp_path, capsys, subcommand, payload):

@@ -133,6 +133,19 @@ class TestControlInstance:
         with pytest.raises(ValueError, match="approval depth"):
             ControlInstance(election_4x3, d, 0, 1)
 
+    @pytest.mark.parametrize(
+        "p, k, message",
+        [
+            (4, 1, "distinguished alternative 4 not an id"),
+            (-1, 1, "distinguished alternative -1 not an id"),
+            (0, 4, "deletion budget 4 out of range"),
+            (0, -1, "deletion budget -1 out of range"),
+        ],
+    )
+    def test_rejects_target_or_budget_out_of_range(self, election_4x3, p, k, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            ControlInstance(election_4x3, 1, p, k)
+
 
 class TestApprovalView:
     def test_depth_one_is_plurality(self):

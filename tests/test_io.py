@@ -99,6 +99,19 @@ class TestElectionFormat:
         with pytest.raises(ParseError, match="header"):
             parse_election("three voters\n")
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("2 1\nlabels left\n0 1\n", "expected 2 labels, got 1"),
+            ("2 1\nlabels left left\n0 1\n", "labels must be distinct"),
+        ],
+        ids=["count", "repeated"],
+    )
+    def test_bad_labels_name_their_line(self, text, message):
+        with pytest.raises(ParseError, match=f"^line 2: {message}$") as err:
+            parse_election(text)
+        assert err.value.line == 2
+
     def test_malformed_inputs_raise_parse_errors_only(self):
         # The CLI maps ParseError to exit code 2; anything else escaping
         # the parser would break that contract.
@@ -226,6 +239,24 @@ OUTPUT m
         with pytest.raises(ParseError, match="undeclared"):
             parse_circuit("x0 INPUT\ng NOT ghost\nOUTPUT g\n")
 
+    @pytest.mark.parametrize(
+        "text, message, line",
+        [
+            ("# nothing but a comment\n", "empty circuit file", None),
+            ("x0 INPUT\nOUTPUT\n", "expected 'OUTPUT gid'", 2),
+            ("x0 INPUT\nOUTPUT x0\nOUTPUT x0\n", "multiple OUTPUT lines", 3),
+            ("x0\nOUTPUT x0\n", "expected 'gid KIND [inputs...]'", 1),
+            ("x0 INPUT\ng XOR x0\nOUTPUT g\n", "gate 'g': unknown kind 'XOR'", None),
+            ("x0 INPUT\nx1 INPUT x0\nOUTPUT x1\n", "gate 'x1': INPUT takes no inputs", None),
+        ],
+        ids=["empty", "bare-output", "two-outputs", "one-token", "unknown-kind", "input-inputs"],
+    )
+    def test_malformed_file_names_the_fault(self, text, message, line):
+        with pytest.raises(ParseError) as err:
+            parse_circuit(text)
+        assert err.value.line == line
+        assert str(err.value).endswith(message)
+
 
 class TestDensityFormat:
     def test_round_trip(self):
@@ -241,6 +272,24 @@ class TestDensityFormat:
     def test_player_numbering_enforced(self):
         with pytest.raises(ParseError, match="player 0"):
             parse_densities("player 1\npiece 0 1 1\n")
+
+    @pytest.mark.parametrize(
+        "text, message, line",
+        [
+            ("# nothing but a comment\n", "empty density file", None),
+            ("player\npiece 0 1 1\n", "expected 'player <index>'", 1),
+            ("player first\npiece 0 1 1\n", "expected 'player <index>'", 1),
+            ("piece 0 1 1\nplayer 0\n", "piece before any player line", 1),
+            ("player 0\npiece 0 1\n", "expected 'piece lo hi c0 [c1 ...]'", 2),
+            ("player 0\npiece 0 1 1\nslice 0 1 1\n", "unexpected directive 'slice'", 3),
+        ],
+        ids=["empty", "bare-player", "named-player", "orphan-piece", "short-piece", "directive"],
+    )
+    def test_malformed_file_names_the_fault(self, text, message, line):
+        with pytest.raises(ParseError) as err:
+            parse_densities(text)
+        assert err.value.line == line
+        assert str(err.value).endswith(message)
 
     def test_invalid_density_reported_with_player_line(self):
         with pytest.raises(ParseError, match="player block"):
@@ -301,6 +350,11 @@ class TestGenerators:
     def test_unknown_model_rejected(self):
         with pytest.raises(ValueError, match="unknown model"):
             GeneratorSpec("mallows", 3, 3, 1)
+
+    @pytest.mark.parametrize("m, n", [(0, 3), (3, 0)])
+    def test_sizes_below_one_rejected(self, m, n):
+        with pytest.raises(ValueError, match="m and n must be at least 1"):
+            GeneratorSpec("impartial-culture", m, n, 1)
 
     def test_bad_axis_rejected(self):
         with pytest.raises(ValueError, match="axis"):

@@ -19,7 +19,7 @@ CAPACITY_ROWS = {
     "`swap_bribery`, `shift_bribery`": [bribery.BRANCH_MAX_N],
     "`find_single_peaked_axis`": [structure.AXIS_SEARCH_MAX_M],
     "`parse_preflib_soc`": [fileio.PREFLIB_MAX_VOTERS],
-    "`sp_deletion_distance`": [structure.VOTER_DELETION_MAX_N, structure.ALT_DELETION_MAX_M],
+    "`sp_deletion_distance`": [structure.VOTER_DELETION_MAX_CHECKS, structure.ALT_DELETION_MAX_M],
     "`ccdv_bruteforce`": [control.BRUTE_FORCE_MAX_SUBSETS],
     "`wcs_solve`": [circuits.WCS_MAX_COMBINATIONS],
     "`mab_solve`": [circuits.MAB_MAX_PROPOSALS],

@@ -35,6 +35,13 @@ SP_5X3_VALID_AXES = {
 }
 
 
+# m = 10: the ten rotations of the identity and its reversal, 11 distinct
+# orders, one more than voter deletion admits at this m.
+PAST_VOTER_DELETION_LIMIT = Election(
+    [tuple(range(k, 10)) + tuple(range(k)) for k in range(10)] + [tuple(range(9, -1, -1))]
+)
+
+
 def subset_voter_deletion(e):
     """Oracle: voter subsets by size, then lexicographically, until the
     remaining voters are single-peaked on some axis."""
@@ -466,9 +473,28 @@ class TestDeletionDistance:
         wide = Election([tuple(range(9))])
         with pytest.raises(CapacityError):
             sp_deletion_distance(wide, "alternatives")
-        tall = Election([(0, 1)] * 11)
+        # 10!/2 axes times 11 distinct orders: one order past the limit,
+        # refused before any axis is walked.
+        start = time.perf_counter()
+        with pytest.raises(CapacityError, match="m!/2 x distinct orders <= 18_?144_?000"):
+            sp_deletion_distance(PAST_VOTER_DELETION_LIMIT, "voters")
+        assert time.perf_counter() - start < 0.5
+
+    def test_voter_limit_counts_axes_times_distinct_orders(self, monkeypatch):
+        # m = 5 has 60 axes; three distinct orders, however many voters
+        # hold them, make 180 checks.
+        monkeypatch.setattr(structure, "VOTER_DELETION_MAX_CHECKS", 180)
+        e = Election([(0, 1, 2, 3, 4), (2, 0, 4, 1, 3), (4, 3, 2, 1, 0)] * 40)
+        assert sp_deletion_distance(e, "voters") == per_voter_deletion(e)
         with pytest.raises(CapacityError):
-            sp_deletion_distance(tall, "voters")
+            sp_deletion_distance(Election(list(e.voters) + [(1, 0, 2, 3, 4)]), "voters")
+
+    def test_many_voters_few_orders_match_per_voter_oracle(self):
+        # Far past the old n <= 10 limit: the search runs over the types.
+        for seed in range(79000, 79008):
+            rng = random.Random(seed)
+            e = multiplicity_heavy(rng, rng.randint(3, 5), 4, 60)
+            assert sp_deletion_distance(e, "voters") == per_voter_deletion(e), f"seed {seed}"
 
     def test_voters_match_subset_oracle(self):
         for seed, e in model_profiles(76000, 90, 6, 9):

@@ -98,6 +98,20 @@ MUTANTS = (
         ("tests/test_bribery.py::TestRivalBound",),
     ),
     Mutant(
+        "swap-shift-leaf-admits-rival-one-ahead",
+        "src/comsoc/bribery.py",
+        "tables[n] = [0]",
+        "tables[n] = [0, 0]",
+        ("tests/test_bribery.py::TestBoundedSearch",),
+    ),
+    Mutant(
+        "swap-action-costs-nothing",
+        "src/comsoc/bribery.py",
+        "VoterAction(vi, order, cost, swaps=",
+        "VoterAction(vi, order, 0, swaps=",
+        ("tests/test_bribery.py::TestSwapBribery::test_plan_revalidates",),
+    ),
+    Mutant(
         "swap-weight-counts-concordant-pairs",
         "src/comsoc/bribery.py",
         "w[a * m + b] = table[_pair(a, b)]",
@@ -148,6 +162,13 @@ MUTANTS = (
             "tests/test_structure.py::TestSinglePeaked::test_axes_match_full_walk",
             "tests/test_structure.py::TestDeletionDistance::test_voters_match_full_walk",
         ),
+    ),
+    Mutant(
+        "voter-deletion-counts-type-as-one-voter",
+        "src/comsoc/structure.py",
+        "size += count",
+        "size += 1",
+        ("tests/test_structure.py::TestDeletionDistance::test_voters_match_per_voter_oracle",),
     ),
     Mutant(
         "wcs-accepts-negative-weight",
