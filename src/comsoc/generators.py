@@ -19,12 +19,20 @@ from .structure import EuclideanEmbedding
 MODELS = ("impartial-culture", "single-peaked", "euclidean-1d")
 EUCLIDEAN_GRID = 10**6
 MAX_CELLS = 1_000_000
+# Expected tied distances in one 1-D Euclidean draw: each of the m(m-1)/2
+# alternative pairs ties when both land on one grid point, or for a voter on
+# their midpoint (an even sum, half the time), about (n + 2) / 2 chances in
+# EUCLIDEAN_GRID. A draw is tie-free with probability about e^-ties, so past
+# this limit all 1000 redraws fail but for a chance under 0.1%.
+EUCLIDEAN_MAX_TIES = 14
 
 
 @dataclass(frozen=True)
 class GeneratorSpec:
     """Model name, sizes, seed, and (for single-peaked) an optional axis.
-    More than ``MAX_CELLS`` order entries (m * n) raise :class:`CapacityError`."""
+    More than ``MAX_CELLS`` order entries (m * n), or a 1-D Euclidean spec
+    expecting more than ``EUCLIDEAN_MAX_TIES`` ties per draw, raise
+    :class:`CapacityError` before any draw."""
 
     model: str
     m: int
@@ -39,6 +47,12 @@ class GeneratorSpec:
             raise ValueError("m and n must be at least 1")
         if self.m * self.n > MAX_CELLS:
             raise CapacityError(f"m*n = {self.m * self.n} order entries, limit {MAX_CELLS}")
+        ties = self.m * (self.m - 1) * (self.n + 2) / (4 * EUCLIDEAN_GRID)
+        if self.model == "euclidean-1d" and ties > EUCLIDEAN_MAX_TIES:
+            raise CapacityError(
+                f"1-D Euclidean m={self.m}, n={self.n} expects {ties:.1f} tied distances"
+                f" per draw, limit {EUCLIDEAN_MAX_TIES}"
+            )
         if self.axis is not None:
             axis = tuple(self.axis)
             if sorted(axis) != list(range(self.m)):

@@ -249,9 +249,9 @@ def avg_pairwise_distance(e: Election) -> int:
     ``wins[a][b]`` who rank ``a`` above ``b`` and the ``wins[b][a]`` who
     rank ``b`` above ``a``, and exactly the cross pairs disagree on it. So the sum of
     Kendall tau distances over voter pairs is the sum over ``a < b`` of
-    ``wins[a][b] * wins[b][a]``: O(m^2) after the O(n * m^2) tally, in
-    exact integers. A single-voter election has no pairs; 0 is returned
-    by convention.
+    ``wins[a][b] * wins[b][a]``: O(m^2) in exact integers after the
+    majority tally, which costs O(types * m) packed additions. A
+    single-voter election has no pairs; 0 is returned by convention.
     """
     n = e.n
     if n < 2:

@@ -6,8 +6,10 @@ verification of Euclidean embeddings, group separability, and deletion
 distances to single-peakedness. Recognition is exact. The axis searches are
 exhaustive with documented capacity limits; alternative deletion reuses the
 axis search on the kept alternatives, and voter deletion tests each voter
-type once per axis, whatever the number of voters. Group separability is
-polynomial and has no limit.
+type once per axis, whatever the number of voters. Group separability and
+the single-crossing report are polynomial and have no limit; the report
+counts the switches of every pair at once, in packed rows with one field
+per pair.
 
 Peak convention: a voter's utility along an axis is ``m - rank``, and the
 peak count is the number of strict local maxima of that sequence. A
@@ -22,8 +24,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations
 from math import factorial
+from operator import add, xor
 
-from .elections import Election, PreferenceOrder
+from .elections import Election, PreferenceOrder, _packed_fields
 from .errors import CapacityError
 
 AXIS_SEARCH_MAX_M = 10
@@ -135,7 +138,10 @@ class SingleCrossingReport:
 
 def single_crossing_report(e: Election, voter_order=None) -> SingleCrossingReport:
     """Count, per alternative pair, how often consecutive voters switch
-    sides along ``voter_order`` (default: the election's voter list)."""
+    sides along ``voter_order`` (default: the election's voter list).
+
+    Costs O(n * m) big-int operations on packed rows of m counts, plus
+    m(m - 1)/2 reads of the counts into the per-pair dict."""
     if voter_order is None:
         voter_order = tuple(range(e.n))
     else:
@@ -143,12 +149,26 @@ def single_crossing_report(e: Election, voter_order=None) -> SingleCrossingRepor
         if sorted(voter_order) != list(range(e.n)):
             raise ValueError("voter_order must be a permutation of voter indices")
     sequence = [e.voters[i] for i in voter_order]
-    crossings = {}
-    for a, b in combinations(range(e.m), 2):
-        signs = [v.prefers(a, b) for v in sequence]
-        crossings[(a, b)] = sum(
-            1 for i in range(len(signs) - 1) if signs[i] != signs[i + 1]
-        )
+    # Each voter gives every alternative a packed mask of the alternatives
+    # it ranks below; two consecutive voters' masks differ in exactly the
+    # pairs that switch between them, and each row of ``counts`` adds up
+    # those differences, at most n - 1 per field, so no field carries into
+    # the next. The pair (a, b), a < b, is field b of row a.
+    m = e.m
+    unit, unpack = _packed_fields(m, e.n)
+    counts = [0] * m
+    last = None
+    for order in sequence:
+        masks = [0] * m
+        below = 0
+        for alt in reversed(order):
+            masks[alt] = below
+            below |= unit[alt]
+        if last is not None:
+            counts = list(map(add, counts, map(xor, last, masks)))
+        last = masks
+    rows = [unpack(row) for row in counts]
+    crossings = {(a, b): rows[a][b] for a, b in combinations(range(m), 2)}
     worst = max(crossings.values()) if crossings else 0
     return SingleCrossingReport(crossings, worst <= 1, worst)
 

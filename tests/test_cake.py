@@ -195,6 +195,14 @@ class TestDensityValidation:
         with pytest.raises(ValueError, match="contiguous"):
             parse_densities(f"player 0\n{block}\nplayer 1\n{block}\n")
 
+    def test_empty_piece_and_no_pieces_rejected(self):
+        with pytest.raises(ValueError, match=r"empty piece \[1/2, 1/2\)"):
+            PiecewisePolyDensity(
+                [(0, F(1, 2), (F(1),)), (F(1, 2), F(1, 2), (F(1),)), (F(1, 2), 1, (F(1),))]
+            )
+        with pytest.raises(ValueError, match="density needs at least one piece"):
+            PiecewisePolyDensity([])
+
     def test_degree_cap(self):
         with pytest.raises(ValueError, match="degree"):
             PiecewisePolyDensity([(0, 1, (F(1), F(0), F(0), F(0), F(1)))])
@@ -272,6 +280,12 @@ class TestCutQuery:
     def test_zero_value_returns_start(self):
         f = PiecewisePolyDensity.uniform()
         assert cut_query(f, F(1, 3), 0) == F(1, 3)
+
+    def test_start_outside_the_cake_rejected(self):
+        f = PiecewisePolyDensity.uniform()
+        for a in (F(-1, 2), F(3, 2)):
+            with pytest.raises(ValueError, match="cut start outside the cake"):
+                cut_query(f, a, 0)
 
     def test_uniform_third(self):
         f = PiecewisePolyDensity.uniform()
@@ -400,6 +414,31 @@ class TestFairnessAndWelfare:
         report = check_fairness(division, [f0, f1], eps=0)
         assert not report.equitable  # player 1 gets 0, not 1/2
         assert not report.equal_valued
+
+    def test_declared_bounds_enforced(self):
+        f = PiecewisePolyDensity.uniform()
+        pieces = (Piece([(0, F(1, 4)), (F(1, 2), F(3, 4))]), Piece.interval(F(3, 4), 1))
+        with pytest.raises(ValueError, match="player 0 holds more than delta intervals"):
+            check_fairness(Division(pieces), [f, f])
+        # delta = 2 admits player 0, but three intervals exceed gamma * n = 2.
+        with pytest.raises(ValueError, match=r"division exceeds gamma \* n intervals"):
+            check_fairness(Division(pieces, delta=2), [f, f])
+        report = check_fairness(Division(pieces, gamma=2, delta=2), [f, f], eps=0)
+        assert report.values[0] == (F(1, 2), F(1, 4))
+
+    def test_bad_arguments_rejected(self):
+        f = PiecewisePolyDensity.uniform()
+        division = Division((Piece.interval(0, 1), Piece.empty()))
+        with pytest.raises(ValueError, match="one density per player required"):
+            check_fairness(division, [f])
+        with pytest.raises(ValueError, match="one density per player required"):
+            welfare(division, [f], "utilitarian")
+        with pytest.raises(ValueError, match="unknown welfare kind 'median'"):
+            welfare(division, [f, f], "median")
+        with pytest.raises(ValueError, match="last diminisher needs at least two players"):
+            last_diminisher([f])
+        with pytest.raises(ValueError, match=r"interval \[1/2, 3/2\] outside the cake"):
+            Piece.interval(F(1, 2), F(3, 2))
 
     def test_overlapping_division_rejected(self):
         f = PiecewisePolyDensity.uniform()

@@ -344,6 +344,12 @@ class TestMabEncoding:
                     ballot = tuple(sorted(int(v[1:]) for v in wcs))
                     assert ballot == mab, f"trial {trial} k={k}"
 
+    def test_bad_arguments_rejected(self):
+        with pytest.raises(ValueError, match="ballot size k must be at least 1"):
+            mab_to_majority_circuit(MabInstance(2, [{0}], frozenset()), 0)
+        with pytest.raises(ValueError, match="need at least one proposal"):
+            mab_to_majority_circuit(MabInstance(0, [set()], frozenset()), 1)
+
     def test_agenda_too_big_for_weight_is_unsatisfiable(self):
         inst = MabInstance(4, [{0, 1}], frozenset({0, 1, 2}))
         circuit = mab_to_majority_circuit(inst, 2)

@@ -553,6 +553,16 @@ class TestGen:
         assert captured.err.startswith("capacity error:") and captured.err.count("\n") == 1
         assert message in captured.err
 
+    def test_hopeless_euclidean_spec_refused_before_drawing(self, capsys):
+        start = time.perf_counter()
+        code = main(["gen", "--model", "euclidean-1d", "--m", "10000", "--n", "1", "--seed", "1"])
+        elapsed = time.perf_counter() - start
+        captured = capsys.readouterr()
+        assert elapsed < 0.5
+        assert code == 3 and captured.out == ""
+        assert captured.err.startswith("capacity error:") and captured.err.count("\n") == 1
+        assert "m=10000, n=1" in captured.err
+
     def test_euclidean_positions_emitted(self, capsys):
         _, payload = run_json(
             capsys, "gen", "--model", "euclidean-1d", "--m", "3", "--n", "2", "--seed", "5"

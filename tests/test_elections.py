@@ -118,6 +118,10 @@ class TestElection:
         with pytest.raises(ValueError):
             Election([])
 
+    def test_needs_an_alternative(self):
+        with pytest.raises(ValueError, match="an election needs at least one alternative"):
+            Election([()])
+
     def test_mixed_sizes_rejected(self):
         with pytest.raises(ValueError):
             Election([(0, 1), (0, 1, 2)])
@@ -182,6 +186,22 @@ class TestMajorityMatrix:
             rng = random.Random(73000 + k)
             e = multiplicity_heavy(rng, rng.randint(1, 7), 4, 30)
             assert majority_matrix(e) == plain_majority_matrix(e), f"seed {73000 + k}"
+
+    @pytest.mark.parametrize("n", [255, 256, 65_535, 65_536])
+    def test_matches_plain_majority_matrix_at_field_widths(self, n):
+        # n is the largest count of a 1- or 2-byte field, or one past it.
+        # Unanimous voters fill every field of the top row with exactly n;
+        # the mixed profile has full, partial and empty fields.
+        top, other = PreferenceOrder((0, 1, 2, 3)), PreferenceOrder((3, 1, 0, 2))
+        for voters in ([top] * n, [top] * (n - 3) + [other, other, top]):
+            e = Election(voters)
+            wins = majority_matrix(e)
+            assert wins == plain_majority_matrix(e), f"n {n}"
+        assert wins[1][2] == n and wins[0][3] == n - 2
+
+    def test_one_alternative(self):
+        e = Election([(0,)] * 3)
+        assert majority_matrix(e) == plain_majority_matrix(e) == MajorityMatrix(((0,),), 3)
 
     @settings(max_examples=60, deadline=None)
     @given(elections())

@@ -18,7 +18,14 @@ from comsoc.fileio import (
     write_densities,
     write_election,
 )
-from comsoc.generators import EUCLIDEAN_GRID, MAX_CELLS, MODELS, GeneratorSpec, generate
+from comsoc.generators import (
+    EUCLIDEAN_GRID,
+    EUCLIDEAN_MAX_TIES,
+    MAX_CELLS,
+    MODELS,
+    GeneratorSpec,
+    generate,
+)
 from comsoc.structure import EuclideanEmbedding, is_single_peaked_wrt, verify_euclidean
 
 from conftest import DOC_ELECTION_4X3, random_election
@@ -366,3 +373,13 @@ class TestGenerators:
             GeneratorSpec(model, 1, MAX_CELLS, 1)
             with pytest.raises(CapacityError, match="limit 1000000"):
                 GeneratorSpec(model, 1, MAX_CELLS + 1, 1)
+
+    def test_euclidean_tie_limit(self):
+        # Checked on the spec: m(m - 1)(n + 2) / (4 * EUCLIDEAN_GRID) expected
+        # ties per draw. At n = 1, m = 4320 expects 13.99 and m = 4321 14.0003.
+        GeneratorSpec("euclidean-1d", 4320, 1, 1)
+        for m, n in ((4321, 1), (10_000, 1), (1000, 100)):
+            with pytest.raises(CapacityError, match=f"m={m}, n={n} .* limit {EUCLIDEAN_MAX_TIES}"):
+                GeneratorSpec("euclidean-1d", m, n, 1)
+        for model in ("impartial-culture", "single-peaked"):
+            GeneratorSpec(model, 10_000, 1, 1)

@@ -26,6 +26,7 @@ CAPACITY_ROWS = {
     "density degree": [cake.MAX_DEGREE],
     "density pieces": [cake.MAX_PIECES],
     "`generate`": [generators.MAX_CELLS],
+    "`generate`, 1-D Euclidean": [generators.EUCLIDEAN_MAX_TIES],
 }
 
 

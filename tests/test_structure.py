@@ -1,7 +1,7 @@
 import random
 import time
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import chain, combinations, permutations
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +13,7 @@ from comsoc.errors import CapacityError
 from comsoc.generators import MODELS, GeneratorSpec, generate
 from comsoc.structure import (
     EuclideanEmbedding,
+    SingleCrossingReport,
     all_single_peaked_axes,
     find_single_peaked_axis,
     group_separable_split,
@@ -23,7 +24,7 @@ from comsoc.structure import (
     verify_euclidean,
 )
 
-from conftest import multiplicity_heavy, random_election
+from conftest import elections, multiplicity_heavy, random_election
 
 # The complete axis set for the five-alternative doc election: the two
 # documented axes and their reverses, nothing else (exhaustive over 120).
@@ -40,6 +41,22 @@ SP_5X3_VALID_AXES = {
 PAST_VOTER_DELETION_LIMIT = Election(
     [tuple(range(k, 10)) + tuple(range(k)) for k in range(10)] + [tuple(range(9, -1, -1))]
 )
+
+
+def plain_single_crossing_report(e, voter_order=None):
+    """The former per-pair scan, kept as the oracle for the packed kernel:
+    one ``prefers`` call per pair and voter."""
+    if voter_order is None:
+        voter_order = tuple(range(e.n))
+    sequence = [e.voters[i] for i in voter_order]
+    crossings = {}
+    for a, b in combinations(range(e.m), 2):
+        signs = [v.prefers(a, b) for v in sequence]
+        crossings[(a, b)] = sum(
+            1 for i in range(len(signs) - 1) if signs[i] != signs[i + 1]
+        )
+    worst = max(crossings.values()) if crossings else 0
+    return SingleCrossingReport(crossings, worst <= 1, worst)
 
 
 def subset_voter_deletion(e):
@@ -303,6 +320,36 @@ class TestSingleCrossing:
             if report.is_single_crossing:
                 assert report.max_crossings <= 1
 
+    def test_matches_plain_report(self):
+        profiles = chain(model_profiles(74000, 150, 12, 60), typed_profiles(74200, 60, 12, 60))
+        for seed, e in profiles:
+            rng = random.Random(seed)
+            order = rng.sample(range(e.n), e.n)
+            for voter_order in (None, order):
+                report = single_crossing_report(e, voter_order)
+                assert report == plain_single_crossing_report(e, voter_order), f"seed {seed}"
+                assert list(report.crossings) == list(combinations(range(e.m), 2))
+
+    @settings(max_examples=60, deadline=None)
+    @given(elections(max_m=7, max_n=9), st.randoms(use_true_random=False))
+    def test_matches_plain_report_property(self, e, rnd):
+        order = list(range(e.n))
+        rnd.shuffle(order)
+        for voter_order in (None, order):
+            assert single_crossing_report(e, voter_order) == plain_single_crossing_report(
+                e, voter_order
+            )
+
+    def test_switch_on_the_last_pair_counts(self):
+        e = Election([(0, 1, 2)] * 3 + [(2, 1, 0)])
+        report = single_crossing_report(e)
+        assert report.crossings == {(0, 1): 1, (0, 2): 1, (1, 2): 1}
+        assert report.is_single_crossing and report.max_crossings == 1
+
+    def test_one_alternative_has_no_pairs(self):
+        report = single_crossing_report(Election([(0,)] * 3))
+        assert report == SingleCrossingReport({}, True, 0)
+
     def test_explicit_voter_order(self):
         e = Election([(0, 1), (1, 0), (0, 1)])
         assert not single_crossing_report(e).is_single_crossing
@@ -343,6 +390,16 @@ class TestEuclidean:
         e = Election([(0, 1, 2)])
         with pytest.raises(ValueError):
             verify_euclidean(e, EuclideanEmbedding(1, [(0,), (1,)], [(0,)]))
+
+    def test_malformed_embedding_rejected(self):
+        with pytest.raises(ValueError, match="dimension must be at least 1"):
+            EuclideanEmbedding(0, [()], [()])
+        with pytest.raises(ValueError, match="point dimension mismatch"):
+            EuclideanEmbedding(1, [(0,), (1, 2)], [(0,)])
+        with pytest.raises(ValueError, match="embedding places 2 voters, need 1"):
+            verify_euclidean(
+                Election([(0, 1)]), EuclideanEmbedding(1, [(0,), (1,)], [(0,), (1,)])
+            )
 
     def test_one_dimensional_implies_single_peaked_on_sorted_axis(self):
         rng = random.Random(35)

@@ -51,9 +51,34 @@ MUTANTS = (
     Mutant(
         "tally-counts-alternative-over-itself",
         "src/comsoc/elections.py",
-        "for below in order[i + 1 :]:",
-        "for below in order[i:]:",
+        """            rows[alt] += below if count == 1 else below * count
+            below |= unit[alt]
+""",
+        """            below |= unit[alt]
+            rows[alt] += below if count == 1 else below * count
+""",
         ("tests/test_elections.py::TestMajorityMatrix",),
+    ),
+    Mutant(
+        "packed-field-width-admits-one-past-full",
+        "src/comsoc/elections.py",
+        "if n < 1 << (8 * b))",
+        "if n <= 1 << (8 * b))",
+        ("tests/test_elections.py::TestMajorityMatrix::test_matches_plain_majority_matrix_at_field_widths",),
+    ),
+    Mutant(
+        "crossings-read-both-rows",
+        "src/comsoc/structure.py",
+        "{(a, b): rows[a][b] for",
+        "{(a, b): rows[a][b] + rows[b][a] for",
+        ("tests/test_structure.py::TestSingleCrossing::test_matches_plain_report",),
+    ),
+    Mutant(
+        "crossings-skip-last-voter",
+        "src/comsoc/structure.py",
+        "for order in sequence:",
+        "for order in sequence[:-1]:",
+        ("tests/test_structure.py::TestSingleCrossing::test_matches_plain_report",),
     ),
     Mutant(
         "type-tally-ignores-count",
